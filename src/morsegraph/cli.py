@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep from a JSON config")
     sweep.add_argument("--config", required=True, help="sweep config JSON path")
-    sweep.add_argument("--workers", type=int, default=None, help="worker processes (default: all cores)")
+    sweep.add_argument("--workers", type=int, default=None, help="worker processes (default: CPUs this process may use)")
 
     ana = sub.add_parser("analytic", help="closed-form expectations and thresholds")
     ana.add_argument("--n", type=int, required=True)

@@ -5,13 +5,20 @@ vertex, extending only to vertices greater than the anchor; together with
 the reflection rule ``v2 < vk`` this emits every induced k-cycle exactly
 once, already in canonical form, without post-hoc deduplication.
 
+Induced squares come from diagonal buckets: the bucket of a non-adjacent
+pair {u, w} is the set of non-adjacent pairs inside N(u) & N(w), and each
+pair {x, y} in it spans the square u-x-w-y.  ``_diagonal_bucket`` is the one
+scan of a bucket; square enumeration, the isolated-square scan and the
+Morse-square scan all read it.
+
 The pruned search exploits that for cycles of length at least 5 the Morse
 property is a conjunction of per-pair conditions that do not depend on the
 rest of the cycle: every pair of cycle vertices that is non-adjacent in the
-host must have a common neighborhood that is a clique.  A partial path
-containing a pair that fails this test cannot extend to any Morse cycle of
-length >= 5, so the branch is cut.  Length-4 cycles obey a different rule
-and are handled by direct inspection of induced squares.
+host must have a common neighborhood that is a clique (an empty bucket).  A
+partial path containing a pair that fails this test cannot extend to any
+Morse cycle of length >= 5, so the branch is cut.  A square is Morse when
+both of its diagonal buckets hold only the other diagonal; length 4 is
+searched through ``morse.morse_squares``.
 """
 
 from __future__ import annotations
@@ -196,31 +203,45 @@ def _diagonal_candidates(g: Graph, prefilter: bool | None = None) -> Iterator[tu
                     yield u, w
 
 
+def _diagonal_bucket(
+    g: Graph, u: int, w: int, limit: int | None = None
+) -> list[tuple[int, int]]:
+    """The non-adjacent pairs ``(x, y)``, ``x < y``, inside the common
+    neighborhood of ``u`` and ``w``, in lexicographic order.
+
+    Stops once ``limit`` pairs are found, so ``limit=2`` tells an empty or
+    singleton bucket from a larger one without listing it.
+    """
+    rows = g.rows
+    rest = rows[u] & rows[w]
+    pairs: list[tuple[int, int]] = []
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
+        for y in iter_bits(rest & ~rows[x]):
+            pairs.append((x, y))
+            if len(pairs) == limit:
+                return pairs
+    return pairs
+
+
 Diagonals = tuple[tuple[int, int], tuple[int, int]]
 
 
-def enumerate_induced_squares(
-    g: Graph, *, prefilter: bool | None = None
-) -> Iterator[tuple[CycleWitness, Diagonals]]:
+def enumerate_induced_squares(g: Graph) -> Iterator[tuple[CycleWitness, Diagonals]]:
     """Yield each induced 4-cycle of ``g`` once, with its two diagonals.
 
-    Scans non-adjacent pairs ``(u, w)`` and emits one square per
-    non-adjacent pair ``{x, y}`` inside ``common_neighbors(u, w)``; a square
-    is emitted only while scanning the lexicographically smaller of its two
-    diagonals, so each appears exactly once.  Order is deterministic.
+    Scans non-adjacent pairs ``(u, w)`` and emits one square per pair
+    ``(x, y)`` of their diagonal bucket; a square is emitted only while
+    scanning the lexicographically smaller of its two diagonals, so each
+    appears exactly once.  Order is deterministic.
     """
-    rows = g.rows
-    for u, w in _diagonal_candidates(g, prefilter):
-        m = rows[u] & rows[w]
-        members = list(iter_bits(m))
-        for i, x in enumerate(members):
-            rx = rows[x]
-            for y in members[i + 1 :]:
-                if (rx >> y) & 1:
-                    continue
-                if (u, w) < (x, y):
-                    witness = CycleWitness.from_cycle((u, x, w, y))
-                    yield witness, witness.diagonals()
+    for u, w in _diagonal_candidates(g):
+        for x, y in _diagonal_bucket(g, u, w):
+            if (u, w) < (x, y):
+                witness = CycleWitness.from_cycle((u, x, w, y))
+                yield witness, witness.diagonals()
 
 
 def count_induced_squares(g: Graph) -> int:
@@ -347,30 +368,28 @@ def morse_pruned_cycle_search(
 
     Decides existence without full enumeration: branches whose partial path
     already contains a disqualified pair are cut (sound for k >= 5 because
-    the disqualification is cycle-independent); length-4 candidates are
-    checked directly against the induced squares of ``g``.
+    the disqualification is cycle-independent); length-4 candidates come
+    from ``morse.morse_squares``, one budget unit per candidate diagonal.
 
     A node-expansion budget (default ``10**8``) guards pathological inputs;
     exhausting it raises ``SearchBudgetExceeded`` rather than answering.
     """
+    from .morse import is_morse_cycle, morse_squares
+
     if kmin < 4:
         raise InvalidParameter(f"kmin must be >= 4, got {kmin}")
     if kmin > kmax:
         raise InvalidParameter(f"need kmin <= kmax, got [{kmin}, {kmax}]")
     tracker = _Budget(DEFAULT_SEARCH_BUDGET if budget is None else budget)
     if kmin == 4:
-        from .morse import is_morse_cycle
-
-        for witness, _ in enumerate_induced_squares(g):
+        for witness in morse_squares(g):
             tracker.spend()
-            if is_morse_cycle(g, witness):
+            if witness is not None:
                 return witness
     lo = max(kmin, 5)
     if lo > kmax:
         return None
     witness, _ = _pruned_engine(g, lo, kmax, tracker, find_first=True)
     if witness is not None:
-        from .morse import is_morse_cycle
-
         assert is_morse_cycle(g, witness)
     return witness

@@ -9,20 +9,24 @@ production check therefore never materializes squares: it scans
 non-adjacent pairs inside S and inspects their common neighborhoods
 directly.  ``morse_oracle`` is a deliberately literal re-implementation
 from the enumerated square list, kept as an independent cross-check.
+``morse_squares`` finds Morse squares from the diagonal buckets and
+confirms each through the definition.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cycles import (
     CycleWitness,
+    _diagonal_bucket,
+    _diagonal_candidates,
     as_witness,
     count_morse_cycles_pruned,
     enumerate_induced_squares,
 )
 from .errors import InvalidParameter
-from .graph import Graph, is_clique_mask, iter_bits, vertex_mask
+from .graph import Graph, iter_bits, vertex_mask
 
 
 def is_morse_subgraph(g: Graph, s: Iterable[int]) -> bool:
@@ -52,42 +56,38 @@ def is_morse_subgraph(g: Graph, s: Iterable[int]) -> bool:
 def is_morse_cycle(g: Graph, c: "CycleWitness | Sequence[int]") -> bool:
     """True iff the induced cycle ``c`` is a Morse subgraph of ``g``.
 
-    For k >= 5 this reduces to: every non-adjacent pair of cycle vertices
-    has a common neighborhood that is a clique.  For k = 4 the cycle's own
-    diagonals are exempt from each other: the square is Morse iff the only
-    non-adjacent pair inside the common neighborhood of either diagonal is
-    the other diagonal (equivalently, the square is an isolated vertex of
-    the square graph).
+    This is the definition, :func:`is_morse_subgraph` on the cycle's vertex
+    set.  For k >= 5 it amounts to every non-adjacent pair of cycle vertices
+    having a clique as common neighborhood; for k = 4 to each diagonal's
+    bucket holding only the other diagonal (the square is an isolated vertex
+    of the square graph).  Neither shortcut is used here, so the scans built
+    on them can be checked against this function.
 
     Raises ``InvalidWitness`` when ``c`` is not an induced cycle of ``g``.
     """
-    witness = as_witness(g, c)
-    v = witness.vertices
-    rows = g.rows
-    if witness.k == 4:
-        (u, w), (x, y) = witness.diagonals()
-        for (d0, d1), (e0, e1) in (((u, w), (x, y)), ((x, y), (u, w))):
-            m = rows[d0] & rows[d1]
-            for a in iter_bits(m):
-                non_adjacent = m & ~rows[a] & ~(1 << a)
-                if a == e0:
-                    expected = 1 << e1
-                elif a == e1:
-                    expected = 1 << e0
-                else:
-                    expected = 0
-                if non_adjacent != expected:
-                    return False
-        return True
-    k = witness.k
-    for i in range(k):
-        ri = rows[v[i]]
-        for j in range(i + 1, k):
-            if (ri >> v[j]) & 1:
-                continue
-            if not is_clique_mask(g, ri & rows[v[j]]):
-                return False
-    return True
+    return is_morse_subgraph(g, as_witness(g, c).vertices)
+
+
+def morse_squares(g: Graph) -> Iterator[CycleWitness | None]:
+    """Scan ``g`` for Morse squares, one item per candidate diagonal.
+
+    For each candidate diagonal ``(u, w)`` in lexicographic order, yields
+    the Morse square having ``(u, w)`` as its smaller diagonal, or ``None``.
+    A square can be Morse only when the bucket of ``(u, w)`` is a single
+    pair ``(x, y)``; such a square is confirmed with :func:`is_morse_cycle`.
+    Each Morse square appears once, in the order of
+    ``enumerate_induced_squares``; the ``None`` items let a caller meter the
+    scan.
+    """
+    for u, w in _diagonal_candidates(g):
+        bucket = _diagonal_bucket(g, u, w, 2)
+        witness = None
+        if len(bucket) == 1 and (u, w) < bucket[0]:
+            x, y = bucket[0]
+            square = CycleWitness.from_cycle((u, x, w, y))
+            if is_morse_cycle(g, square):
+                witness = square
+        yield witness
 
 
 def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
@@ -117,14 +117,12 @@ def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
 def count_morse_cycles(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of induced k-cycles of ``g`` that are Morse.
 
-    k = 4 filters the enumerated squares; k >= 5 counts through the pruned
-    DFS, which visits exactly the cycles all of whose non-adjacent pairs
-    survive the clique test -- the same set the definition selects.
+    k = 4 counts the :func:`morse_squares` scan; k >= 5 counts through the
+    pruned DFS, which visits exactly the cycles all of whose non-adjacent
+    pairs survive the clique test -- the same set the definition selects.
     """
     if k < 4:
         raise InvalidParameter(f"Morse cycles have k >= 4, got k={k}")
     if k == 4:
-        return sum(
-            1 for witness, _ in enumerate_induced_squares(g) if is_morse_cycle(g, witness)
-        )
+        return sum(1 for witness in morse_squares(g) if witness is not None)
     return count_morse_cycles_pruned(g, k, budget)

@@ -16,7 +16,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 
-from .cycles import CycleWitness, enumerate_induced_squares, iter_bits
+from .cycles import CycleWitness, _diagonal_bucket, _diagonal_candidates, enumerate_induced_squares
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
 
@@ -164,47 +164,19 @@ def has_isolated_square(g: Graph) -> Square | None:
     """Early-exit scan for an isolated square-graph vertex of ``g``.
 
     Returns one isolated square (as its canonical 4-tuple) or ``None``.
-    Equivalent to ``isolated_count(build_square_graph(g)) > 0`` but stops at
-    the first hit and never stores the square list.
+    A square is isolated iff each of its diagonals' buckets holds only the
+    other diagonal, so the scan takes each candidate diagonal ``(u, w)``
+    whose bucket is a single pair ``(x, y)`` and tests the bucket of
+    ``(x, y)`` for being exactly ``(u, w)``.  Equivalent to
+    ``isolated_count(build_square_graph(g)) > 0`` but stops at the first hit
+    and never stores the square list.
     """
-    from .cycles import _diagonal_candidates
-
-    rows = g.rows
     for u, w in _diagonal_candidates(g):
-        m = rows[u] & rows[w]
-        members = list(iter_bits(m))
-        # count non-adjacent pairs inside the common neighborhood
-        pair: Pair | None = None
-        bad = False
-        for i, x in enumerate(members):
-            rx = rows[x]
-            for y in members[i + 1 :]:
-                if (rx >> y) & 1:
-                    continue
-                if pair is not None:
-                    bad = True
-                    break
-                pair = (x, y)
-            if bad:
-                break
-        if bad or pair is None:
+        bucket = _diagonal_bucket(g, u, w, 2)
+        if len(bucket) != 1:
             continue
-        # the bucket of (u, w) is the singleton {square (u, x, w, y)};
-        # check the reciprocal bucket of (x, y) the same way
-        x, y = pair
-        m2 = rows[x] & rows[y]
-        reciprocal_ok = True
-        for z in iter_bits(m2):
-            non_adjacent = m2 & ~rows[z] & ~(1 << z)
-            if z == u:
-                expected = 1 << w
-            elif z == w:
-                expected = 1 << u
-            else:
-                expected = 0
-            if non_adjacent != expected:
-                reciprocal_ok = False
-                break
+        x, y = bucket[0]
+        reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
         if reciprocal_ok:
             return CycleWitness.from_cycle((u, x, w, y)).vertices
     return None

@@ -17,6 +17,7 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
+from morsegraph.cycles import _diagonal_bucket, _diagonal_candidates
 from helpers import (
     brute_induced_cycles,
     brute_induced_squares,
@@ -136,10 +137,23 @@ def test_squares_match_cycle_enumeration(seed):
 
 def test_square_prefilter_paths_agree():
     g = sample_gnp(150, 0.12, 8)
-    fast = list(enumerate_induced_squares(g, prefilter=True))
-    plain = list(enumerate_induced_squares(g, prefilter=False))
+    fast = list(_diagonal_candidates(g, True))
+    plain = list(_diagonal_candidates(g, False))
     assert fast == plain
     assert len(fast) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_bucket_matches_brute_force(seed):
+    g = sample_gnp(14, 0.1 + 0.15 * seed, trial_seed(4242, seed))
+    for u, w in combinations(range(g.n), 2):
+        if g.adjacent(u, w):
+            continue
+        common = [v for v in range(g.n) if g.adjacent(u, v) and g.adjacent(w, v)]
+        brute = [(x, y) for x, y in combinations(common, 2) if not g.adjacent(x, y)]
+        assert _diagonal_bucket(g, u, w) == brute
+        for limit in (1, 2, 3):
+            assert _diagonal_bucket(g, u, w, limit) == brute[:limit]
 
 
 def test_pruned_search_examples():

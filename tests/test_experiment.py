@@ -10,7 +10,10 @@ from morsegraph import (
     TooLarge,
     TrialErrorRateExceeded,
     build_graph,
+    enumerate_induced_squares,
     exhaustive_small_n_expectation,
+    morse_oracle,
+    morse_pruned_cycle_search,
     run_sweep,
     run_trial,
     sample_gnp,
@@ -102,6 +105,20 @@ def test_witnesses_returned_where_defined():
     assert outcome is True and witness == [0, 1, 2, 3]
     outcome, witness = evaluate_property_with_witness(cycle_graph(4), P("cfs"))
     assert outcome is True and witness is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_morse_square_witness_is_first_oracle_square(seed):
+    # n is past the prefilter cutoff, so the candidate diagonals come from
+    # the matrix path; the answer must be the first Morse square in
+    # enumeration order as the literal oracle judges it
+    g = sample_gnp(140, 0.1, trial_seed(9001, seed))
+    first = next(
+        w for w, _ in enumerate_induced_squares(g) if morse_oracle(g, w.vertices)
+    )
+    outcome, witness = evaluate_property_with_witness(g, P("morse-square-exists"))
+    assert outcome is True and witness == list(first.vertices)
+    assert morse_pruned_cycle_search(g, 4, 6) == first
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +263,51 @@ def test_exhaustive_monte_carlo_consistency():
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
+
+
+def test_analytic_reference_domain_and_faults(monkeypatch):
+    import morsegraph.experiment as exp
+
+    square = P("morse-square-exists")
+    assert exp._analytic_reference(64, 0.1, square) > 0
+    assert exp._analytic_reference(64, 0.75, square) is None  # 2 p^2 >= 1
+
+    def broken(n, p):
+        raise RuntimeError("formula bug")
+
+    monkeypatch.setattr(exp.analytic, "expected_morse_squares", broken)
+    with pytest.raises(RuntimeError):
+        exp._analytic_reference(64, 0.1, square)
+
+
+@pytest.mark.parametrize("affinity", [{0, 2, 5}, None])
+def test_sweep_default_workers_follow_cpu_affinity(tmp_path, monkeypatch, affinity):
+    import morsegraph.experiment as exp
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 7)
+    if affinity is None:
+        monkeypatch.delattr(exp.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    cfg = SweepConfig.from_mapping(dict(BASE_CONFIG, trials=2, out=str(tmp_path / "w.jsonl")))
+    run_sweep(cfg)
+    assert started == [7 if affinity is None else len(affinity)]
 
 
 BASE_CONFIG = {
