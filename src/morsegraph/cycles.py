@@ -11,14 +11,20 @@ pair {x, y} in it spans the square u-x-w-y.  ``_diagonal_bucket`` is the one
 scan of a bucket; square enumeration, the isolated-square scan and the
 Morse-square scan all read it.
 
-The pruned search exploits that for cycles of length at least 5 the Morse
-property is a conjunction of per-pair conditions that do not depend on the
-rest of the cycle: every pair of cycle vertices that is non-adjacent in the
-host must have a common neighborhood that is a clique (an empty bucket).  A
-partial path containing a pair that fails this test cannot extend to any
-Morse cycle of length >= 5, so the branch is cut.  A square is Morse when
-both of its diagonal buckets hold only the other diagonal; length 4 is
-searched through ``morse.morse_squares``.
+The pruned search rests on the pair condition (Tran, "On strongly
+quasiconvex subgroups", Geom. Topol. 2019): a cycle of length at least 5 is
+Morse exactly when every pair of its vertices that is non-adjacent in the
+host has a clique as common neighborhood (an empty bucket).  The test does
+not depend on the rest of the cycle, so its answers are kept in per-vertex
+bitsets -- ``known[u]``, the vertices tested against ``u``, and ``bad[u]``,
+those that failed -- filled lazily, only for the bits a query asks for.
+When a vertex is pushed onto the path, the candidates that would extend or
+close it are masked once against each middle path vertex (and extending
+candidates against the anchor), so popping a candidate costs one bit test
+and a failed pair cuts every branch through it.  A path of L vertices
+closes an (L + 1)-cycle, so paths stop growing at kmax - 1 vertices.  A
+square is Morse when both of its diagonal buckets hold only the other
+diagonal; length 4 is searched through ``morse.morse_squares``.
 """
 
 from __future__ import annotations
@@ -268,27 +274,35 @@ class _Budget:
             )
 
 
-def _make_pair_ok(g: Graph):
-    """Memoized test: is the common neighborhood of a non-adjacent pair a clique?
+def _make_bad_bits(g: Graph):
+    """Memoized pair test over per-vertex bitsets, filled lazily.
 
-    The test does not depend on any surrounding cycle, so a negative answer
-    rules the pair out of every Morse cycle of length >= 5 at once.
+    ``bad_bits(u, need)`` returns the vertices ``w`` of ``need`` whose common
+    neighborhood with ``u`` is not a clique; every ``w`` in ``need`` must be
+    non-adjacent to ``u``.  ``known[u]`` holds the vertices already tested
+    against ``u`` and ``bad[u]`` those that failed, so only the bits a query
+    asks for and has not asked before are tested.  The test does not depend
+    on any surrounding cycle, so a failed pair rules out every Morse cycle of
+    length >= 5 through it.
     """
     rows = g.rows
-    cache: dict[int, bool] = {}
-    n = g.n
+    known = [0] * g.n
+    bad = [0] * g.n
 
-    def pair_ok(u: int, w: int) -> bool:
-        if u > w:
-            u, w = w, u
-        key = u * n + w
-        hit = cache.get(key)
-        if hit is None:
-            hit = is_clique_mask(g, rows[u] & rows[w])
-            cache[key] = hit
-        return hit
+    def bad_bits(u: int, need: int) -> int:
+        todo = need & ~known[u]
+        if todo:
+            known[u] |= todo
+            bit_u = 1 << u
+            for w in iter_bits(todo):
+                known[w] |= bit_u
+                hit = is_clique_mask(g, rows[u] & rows[w])
+                if not hit:
+                    bad[u] |= 1 << w
+                    bad[w] |= bit_u
+        return bad[u] & need
 
-    return pair_ok
+    return bad_bits
 
 
 def _pruned_engine(
@@ -296,7 +310,8 @@ def _pruned_engine(
 ) -> tuple[CycleWitness | None, int]:
     """Shared engine: search or count Morse cycles with k in [kmin, kmax], kmin >= 5."""
     n, rows = g.n, g.rows
-    pair_ok = _make_pair_ok(g)
+    bad_bits = _make_bad_bits(g)
+    spend = budget.spend
     count = 0
     for a in range(n - kmin + 1):
         ra = rows[a]
@@ -304,51 +319,56 @@ def _pruned_engine(
         path = [a]
         path_mask = 1 << a
         mids = [0]
-        iters = [iter_bits(ra & high)]
-        while iters:
-            x = next(iters[-1], -1)
-            if x < 0:
-                iters.pop()
+        # per level: the candidates not yet popped, and those passing the pair
+        # test.  Every popped candidate costs one budget unit, passing or not;
+        # the failed ones are paid in bulk, which changes nothing since no
+        # answer can come between them.
+        todo = [ra & high]
+        keeps = [-1]
+        while todo:
+            rest = todo[-1]
+            live = rest & keeps[-1]
+            if not live:
+                spend(rest.bit_count())
+                todo.pop()
+                keeps.pop()
                 mids.pop()
                 path_mask ^= 1 << path.pop()
                 continue
-            budget.spend()
-            length = len(path)
-            # x is non-adjacent to every path vertex except the last; all such
-            # pairs persist into any completed cycle, so prune on them now.
-            ok = True
-            for u in path[:-1]:
-                if not pair_ok(u, x):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            new_mid = mids[-1] | (rows[path[-1]] if length >= 2 else 0)
-            path.append(x)
-            path_mask |= 1 << x
+            low = live & -live
+            spend((rest & ((low << 1) - 1)).bit_count())
+            todo[-1] = rest & -(low << 1)
+            new_mid = mids[-1] | (rows[path[-1]] if len(path) >= 2 else 0)
+            path.append(low.bit_length() - 1)
+            path_mask |= low
             mids.append(new_mid)
-            length += 1
-            if kmin <= length + 1 <= kmax:
-                closures = rows[x] & ra & high & ~new_mid & ~path_mask
-                p1 = path[1]
-                for z in iter_bits(closures):
-                    budget.spend()
-                    if z <= p1:
-                        continue
-                    zok = True
-                    for u in path[1:-1]:
-                        if not pair_ok(u, z):
-                            zok = False
-                            break
-                    if zok:
-                        if find_first:
-                            return CycleWitness(tuple(path) + (z,)), count + 1
-                        count += 1
-            if length + 1 <= kmax:
-                cand = rows[x] & high & ~new_mid & ~ra & ~path_mask
-            else:
-                cand = 0
-            iters.append(iter_bits(cand))
+            length = len(path)
+            # a path of `length` vertices closes a (length + 1)-cycle; a child
+            # is worth pushing only if it can still close one of length <= kmax
+            ext = rows[path[-1]] & high & ~new_mid & ~path_mask
+            cand = ext & ~ra if length + 2 <= kmax else 0
+            closures = ext & ra if kmin <= length + 1 <= kmax else 0
+            # closures at or below path[1] are the reflected orientation
+            above = closures & -(2 << path[1])
+            # every candidate is non-adjacent to each middle vertex, and a
+            # child also to the anchor; all these pairs persist into any
+            # cycle the candidate closes, so drop those that fail the test
+            keep = cand | above
+            for u in path[1:-1]:
+                if not keep:
+                    break
+                keep &= ~bad_bits(u, keep)
+            if keep & cand:
+                keep &= ~bad_bits(a, keep & cand)
+            hits = above & keep
+            if hits and find_first:
+                z = hits & -hits
+                spend((closures & ((z << 1) - 1)).bit_count())
+                return CycleWitness(tuple(path) + (z.bit_length() - 1,)), count + 1
+            spend(closures.bit_count())
+            count += hits.bit_count()
+            todo.append(cand)
+            keeps.append(keep)
     return None, count
 
 
@@ -373,6 +393,11 @@ def morse_pruned_cycle_search(
 
     A node-expansion budget (default ``10**8``) guards pathological inputs;
     exhausting it raises ``SearchBudgetExceeded`` rather than answering.
+    For k >= 5 one unit is one popped candidate (a vertex that would extend
+    the path, whether or not it passes the pair test) or one closing
+    candidate (a vertex that would close a cycle of admissible length,
+    including the reflected orientations that are skipped).  Paths never
+    grow past kmax - 1 vertices, the longest that can still close a cycle.
     """
     from .morse import is_morse_cycle, morse_squares
 

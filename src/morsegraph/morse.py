@@ -8,13 +8,15 @@ neighbors spans an induced square with diagonals {u, w} and {x, y}.  The
 production check therefore never materializes squares: it scans
 non-adjacent pairs inside S and inspects their common neighborhoods
 directly.  ``morse_oracle`` is a deliberately literal re-implementation
-from the enumerated square list, kept as an independent cross-check.
+over a square list of its own, built from Python sets of neighbors, kept
+as an independent cross-check of both this check and the diagonal scans.
 ``morse_squares`` finds Morse squares from the diagonal buckets and
 confirms each through the definition.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .cycles import (
@@ -23,7 +25,6 @@ from .cycles import (
     _diagonal_candidates,
     as_witness,
     count_morse_cycles_pruned,
-    enumerate_induced_squares,
 )
 from .errors import InvalidParameter
 from .graph import Graph, iter_bits, vertex_mask
@@ -93,24 +94,32 @@ def morse_squares(g: Graph) -> Iterator[CycleWitness | None]:
 def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
     """Literal restatement of the Morse condition over all induced squares.
 
-    Enumerates every induced 4-cycle of ``g`` and demands that each one
+    Lists every induced 4-cycle of ``g`` from Python sets of neighbors -- a
+    non-adjacent pair ``u, w`` and a non-adjacent pair ``x, y`` of their
+    common neighbors span the square u-x-w-y -- and demands that each one
     whose intersection with ``s`` contains a non-adjacent pair is entirely
-    contained in ``s``.  Shares no logic with :func:`is_morse_subgraph`
-    beyond the graph primitives; exists to cross-validate it.
+    contained in ``s``.  Shares no logic with :func:`is_morse_subgraph` or
+    with the diagonal scans of :mod:`morsegraph.cycles`; exists to
+    cross-validate them.
     """
     sset = frozenset(s)
     for x in sset:
         g.check_vertex(x)
-    rows = g.rows
-    for witness, _ in enumerate_induced_squares(g):
-        inside = [x for x in witness.vertices if x in sset]
-        has_non_adjacent = any(
-            not (rows[a] >> b) & 1
-            for i, a in enumerate(inside)
-            for b in inside[i + 1 :]
-        )
-        if has_non_adjacent and len(inside) != 4:
-            return False
+    n = g.n
+    nbrs = [{w for w in range(n) if (row >> w) & 1} for row in g.rows]
+    for u in range(n):
+        for w in range(u + 1, n):
+            if w in nbrs[u]:
+                continue
+            for x, y in combinations(sorted(nbrs[u] & nbrs[w]), 2):
+                if y in nbrs[x]:
+                    continue
+                inside = [v for v in (u, x, w, y) if v in sset]
+                has_non_adjacent = any(
+                    b not in nbrs[a] for a, b in combinations(inside, 2)
+                )
+                if has_non_adjacent and len(inside) != 4:
+                    return False
     return True
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, islice
 
 import pytest
@@ -11,13 +12,20 @@ from morsegraph import (
     SearchBudgetExceeded,
     build_graph,
     count_morse_cycles,
+    density_from_coefficient,
     enumerate_induced_cycles,
     enumerate_induced_squares,
+    morse_oracle,
     morse_pruned_cycle_search,
     sample_gnp,
     trial_seed,
 )
-from morsegraph.cycles import _diagonal_bucket, _diagonal_candidates
+from morsegraph.cycles import (
+    _diagonal_bucket,
+    _diagonal_candidates,
+    _make_bad_bits,
+    count_morse_cycles_pruned,
+)
 from helpers import (
     brute_induced_cycles,
     brute_induced_squares,
@@ -25,6 +33,7 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    path_graph,
     pentagon_with_apex,
     petersen,
 )
@@ -179,13 +188,69 @@ def test_pruned_search_parameter_validation():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_pruned_search_matches_definitional_counts(seed):
+    # the expected side filters every induced cycle through the literal
+    # oracle; count_morse_cycles would run the search's own engine for k >= 5
     g = sample_gnp(12, 0.35, trial_seed(999, seed))
+
+    def oracle_count(k):
+        return sum(1 for w in enumerate_induced_cycles(g, k) if morse_oracle(g, w.vertices))
+
     found = morse_pruned_cycle_search(g, 4, 12) is not None
-    expected = any(count_morse_cycles(g, k) > 0 for k in range(4, 13))
+    expected = any(oracle_count(k) > 0 for k in range(4, 13))
     assert found == expected
     found5 = morse_pruned_cycle_search(g, 5, 12) is not None
-    expected5 = any(count_morse_cycles(g, k) > 0 for k in range(5, 13))
+    expected5 = any(oracle_count(k) > 0 for k in range(5, 13))
     assert found5 == expected5
+
+
+def test_pruned_search_stops_below_kmax():
+    # each of the 6 anchors of a 10-vertex path extends to 4-vertex paths and
+    # no further: 3 popped candidates per anchor, none at a fifth path vertex
+    g = path_graph(10)
+    assert count_morse_cycles_pruned(g, 5, 18) == 0
+    with pytest.raises(SearchBudgetExceeded):
+        count_morse_cycles_pruned(g, 5, 17)
+
+
+@pytest.mark.parametrize("n, p, seed", [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)])
+def test_bad_bits_match_brute_force(n, p, seed):
+    g = sample_gnp(n, p, trial_seed(5150, seed))
+    nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
+
+    def clique(vertices):
+        return all(b in nbrs[a] for a, b in combinations(vertices, 2))
+
+    rng = random.Random(seed)
+    queries = []
+    for u in range(n):
+        far = [w for w in range(n) if w != u and w not in nbrs[u]]
+        for _ in range(4):
+            need = rng.sample(far, rng.randint(0, len(far)))
+            queries += [(u, need), (u, need)]
+    rng.shuffle(queries)
+    bad_bits = _make_bad_bits(g)
+    for u, need in queries:
+        want = sum(1 << w for w in need if not clique(nbrs[u] & nbrs[w]))
+        assert bad_bits(u, sum(1 << w for w in need)) == want
+
+
+# recorded from the earlier per-pair dict memo engine; a faster pair test
+# or a shallower search must not move a witness or a count
+PRUNED_GOLDEN = [
+    (128, 0.5, 1, (0, 7, 16, 84, 2, 74, 85), (0, 7, 64, 59, 42), 109),
+    (192, 0.95, 3, None, None, 0),
+    (256, 0.5, 4, (0, 52, 44, 105, 72, 165), (1, 51, 138, 207, 66), 368),
+]
+
+
+@pytest.mark.parametrize("n, c, seed, first58, first5, count5", PRUNED_GOLDEN)
+def test_pruned_search_golden(n, c, seed, first58, first5, count5):
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    w = morse_pruned_cycle_search(g, 5, 8)
+    assert (w and w.vertices) == first58
+    w = morse_pruned_cycle_search(g, 5, 5)
+    assert (w and w.vertices) == first5
+    assert count_morse_cycles(g, 5) == count5
 
 
 def test_search_on_adversarial_hosts():
