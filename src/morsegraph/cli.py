@@ -18,6 +18,7 @@ from typing import Sequence
 from . import analytic as analytic_mod
 from .errors import MorsegraphError
 from .experiment import (
+    _SUMMARY_COLUMNS,
     PropertyKind,
     SweepConfig,
     evaluate_property_with_witness,
@@ -142,19 +143,7 @@ def _cmd_sweep(args) -> int:
             "jsonl": summary.jsonl_path,
             "summary_csv": summary.csv_path,
             "cells": [
-                {
-                    "n": cell.n,
-                    "c": cell.c,
-                    "p": cell.p,
-                    "property": cell.property_tag,
-                    "trials": cell.trials,
-                    "errors": cell.errors,
-                    "successes_or_mean": cell.successes_or_mean,
-                    "estimate": cell.estimate,
-                    "wilson_lo": cell.wilson_lo,
-                    "wilson_hi": cell.wilson_hi,
-                    "analytic_ref": cell.analytic_ref,
-                }
+                {name: getattr(cell, attr) for name, attr in _SUMMARY_COLUMNS}
                 for cell in summary.cells
             ],
         }

@@ -7,9 +7,13 @@ once, already in canonical form, without post-hoc deduplication.
 
 Induced squares come from diagonal buckets: the bucket of a non-adjacent
 pair {u, w} is the set of non-adjacent pairs inside N(u) & N(w), and each
-pair {x, y} in it spans the square u-x-w-y.  ``_diagonal_bucket`` is the one
-scan of a bucket; square enumeration, the isolated-square scan and the
-Morse-square scan all read it.
+pair {x, y} in it spans the square u-x-w-y.  Only pairs with at least two
+common neighbors can have a non-empty bucket; ``_diagonal_candidates``
+streams them lazily in lexicographic order, filtered by a matrix product
+over one bounded block of adjacency rows at a time.  ``_diagonal_bucket`` is
+the one scan of a bucket; square enumeration, the isolated-square scan and
+the Morse-square scan all read these two.  A square is emitted from its
+smaller diagonal, which makes its vertex order canonical as built.
 
 The pruned search rests on the pair condition (Tran, "On strongly
 quasiconvex subgroups", Geom. Topol. 2019): a cycle of length at least 5 is
@@ -32,13 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import InvalidParameter, InvalidWitness, SearchBudgetExceeded
 from .graph import Graph, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
-# Below this vertex count the plain bitset scan beats building a matrix.
-_PREFILTER_MIN_N = 128
+# Matrix entries per row block of the diagonal-candidate filter.
+_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True, order=True)
@@ -77,13 +83,6 @@ class CycleWitness:
     @property
     def k(self) -> int:
         return len(self.vertices)
-
-    def diagonals(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The two non-adjacent vertex pairs of an induced 4-cycle."""
-        if self.k != 4:
-            raise InvalidWitness(f"diagonals are defined for 4-cycles, not k={self.k}")
-        a, b, c, d = self.vertices
-        return (min(a, c), max(a, c)), (min(b, d), max(b, d))
 
     def verify(self, g: Graph) -> None:
         """Raise ``InvalidWitness`` unless this is an induced cycle of ``g``."""
@@ -165,48 +164,34 @@ def count_induced_cycles(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bool_matrix(g: Graph):
-    import numpy as np
-
-    n = g.n
-    words = max((n + 63) // 64, 1)
-    buf = b"".join(row.to_bytes(words * 8, "little") for row in g.rows)
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(n, words * 8),
-        axis=1,
-        bitorder="little",
-    )
-    return bits[:, :n].astype(bool)
-
-
-def _diagonal_candidates(g: Graph, prefilter: bool | None = None) -> Iterator[tuple[int, int]]:
+def _diagonal_candidates(g: Graph) -> Iterator[tuple[int, int]]:
     """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, in
     lexicographic order.
 
     These are exactly the pairs that can occur as a diagonal of an induced
-    square.  For large graphs the pair filter runs as one boolean matrix
-    product; both paths produce the identical pair sequence.
+    square.  The pair filter is a matrix product taken one block of rows at a
+    time: a block of rows of the 0/1 adjacency matrix times the whole matrix
+    gives those rows' common-neighbor counts.  Blocks hold about
+    ``_BLOCK_CELLS`` entries, so memory beyond the matrix itself stays bounded
+    at any n, and a consumer that stops early pays only for the blocks it read.
     """
-    n, rows = g.n, g.rows
-    if prefilter is None:
-        prefilter = n >= _PREFILTER_MIN_N
-    if prefilter:
-        import numpy as np
-
-        a = _bool_matrix(g)
-        counts = a.astype(np.float32) @ a.astype(np.float32)
-        cand = (~a) & (counts >= 2.0)
-        cand &= np.triu(np.ones((n, n), dtype=bool), 1)
-        for u, w in np.argwhere(cand):
-            yield int(u), int(w)
-    else:
-        for u in range(n):
-            ru = rows[u]
-            for w in range(u + 1, n):
-                if (ru >> w) & 1:
-                    continue
-                if (ru & rows[w]).bit_count() >= 2:
-                    yield u, w
+    n = g.n
+    words = max((n + 63) // 64, 1)
+    buf = b"".join(row.to_bytes(words * 8, "little") for row in g.rows)
+    matrix = np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8).reshape(n, words * 8),
+        axis=1,
+        count=n,
+        bitorder="little",
+    ).astype(np.float32)
+    step = max(_BLOCK_CELLS // max(n, 1), 1)
+    for start in range(0, n, step):
+        block = matrix[start : start + step]
+        counts = block @ matrix
+        # keep w > u: column w of block row i is the pair (start + i, w)
+        cand = np.triu((block == 0) & (counts >= 2.0), start + 1)
+        us, ws = np.nonzero(cand)
+        yield from zip((us + start).tolist(), ws.tolist())
 
 
 def _diagonal_bucket(
@@ -245,13 +230,10 @@ def enumerate_induced_squares(g: Graph) -> Iterator[tuple[CycleWitness, Diagonal
     """
     for u, w in _diagonal_candidates(g):
         for x, y in _diagonal_bucket(g, u, w):
+            # from its smaller diagonal, a square has u least and x < y, so
+            # (u, x, w, y) is already canonical
             if (u, w) < (x, y):
-                witness = CycleWitness.from_cycle((u, x, w, y))
-                yield witness, witness.diagonals()
-
-
-def count_induced_squares(g: Graph) -> int:
-    return sum(1 for _ in enumerate_induced_squares(g))
+                yield CycleWitness((u, x, w, y)), ((u, w), (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +244,9 @@ def count_induced_squares(g: Graph) -> int:
 class _Budget:
     __slots__ = ("remaining", "limit")
 
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.remaining = limit
+    def __init__(self, limit: int | None):
+        self.limit = DEFAULT_SEARCH_BUDGET if limit is None else limit
+        self.remaining = self.limit
 
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
@@ -372,15 +354,6 @@ def _pruned_engine(
     return None, count
 
 
-def count_morse_cycles_pruned(g: Graph, k: int, budget_limit: int | None = None) -> int:
-    """Count Morse k-cycles (k >= 5) without materializing non-Morse cycles."""
-    if k < 5:
-        raise InvalidParameter(f"pruned counting applies to k >= 5, got k={k}")
-    budget = _Budget(DEFAULT_SEARCH_BUDGET if budget_limit is None else budget_limit)
-    _, count = _pruned_engine(g, k, k, budget, find_first=False)
-    return count
-
-
 def morse_pruned_cycle_search(
     g: Graph, kmin: int, kmax: int, *, budget: int | None = None
 ) -> CycleWitness | None:
@@ -405,7 +378,7 @@ def morse_pruned_cycle_search(
         raise InvalidParameter(f"kmin must be >= 4, got {kmin}")
     if kmin > kmax:
         raise InvalidParameter(f"need kmin <= kmax, got [{kmin}, {kmax}]")
-    tracker = _Budget(DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    tracker = _Budget(budget)
     if kmin == 4:
         for witness in morse_squares(g):
             tracker.spend()

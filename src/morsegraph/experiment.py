@@ -14,7 +14,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, permutations
 from typing import Any, Mapping, Sequence
 
@@ -325,6 +325,15 @@ class CellSummary:
     analytic_ref: float | None
 
 
+# The summary's columns as (name, CellSummary field), in output order; the
+# CSV leaves out "errors", and no output carries the variance.
+_SUMMARY_COLUMNS = tuple(
+    ("property" if f.name == "property_tag" else f.name, f.name)
+    for f in fields(CellSummary)
+    if f.name != "variance"
+)
+
+
 @dataclass(frozen=True)
 class SweepSummary:
     cells: tuple[CellSummary, ...]
@@ -419,22 +428,7 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
                 variance = sum((x - mean) ** 2 for x in outcomes) / (len(outcomes) - 1)
             else:
                 variance = 0.0
-            summaries.append(
-                CellSummary(
-                    n=n,
-                    c=c,
-                    p=p,
-                    property_tag=prop.tag,
-                    trials=config.trials,
-                    errors=errors,
-                    successes_or_mean=mean,
-                    variance=variance,
-                    estimate=mean,
-                    wilson_lo=None,
-                    wilson_hi=None,
-                    analytic_ref=_analytic_reference(n, p, prop),
-                )
-            )
+            tally, estimate, lo, hi = mean, mean, None, None
         else:
             successes = sum(1 for r in valid if r.outcome is True)
             if valid:
@@ -442,55 +436,32 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
                 lo, hi = wilson_interval(successes, len(valid), config.z)
             else:
                 estimate, lo, hi = float("nan"), None, None
-            summaries.append(
-                CellSummary(
-                    n=n,
-                    c=c,
-                    p=p,
-                    property_tag=prop.tag,
-                    trials=config.trials,
-                    errors=errors,
-                    successes_or_mean=float(successes),
-                    variance=None,
-                    estimate=estimate,
-                    wilson_lo=lo,
-                    wilson_hi=hi,
-                    analytic_ref=_analytic_reference(n, p, prop),
-                )
+            tally, variance = float(successes), None
+        summaries.append(
+            CellSummary(
+                n=n,
+                c=c,
+                p=p,
+                property_tag=prop.tag,
+                trials=config.trials,
+                errors=errors,
+                successes_or_mean=tally,
+                variance=variance,
+                estimate=estimate,
+                wilson_lo=lo,
+                wilson_hi=hi,
+                analytic_ref=_analytic_reference(n, p, prop),
             )
+        )
 
     csv_path = f"{config.out}.summary.csv"
     with open(csv_path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "n",
-                "c",
-                "p",
-                "property",
-                "trials",
-                "successes_or_mean",
-                "estimate",
-                "wilson_lo",
-                "wilson_hi",
-                "analytic_ref",
-            ]
-        )
+        columns = [(name, attr) for name, attr in _SUMMARY_COLUMNS if name != "errors"]
+        writer.writerow([name for name, _ in columns])
         for s in summaries:
-            writer.writerow(
-                [
-                    s.n,
-                    "" if s.c is None else s.c,
-                    s.p,
-                    s.property_tag,
-                    s.trials,
-                    s.successes_or_mean,
-                    s.estimate,
-                    "" if s.wilson_lo is None else s.wilson_lo,
-                    "" if s.wilson_hi is None else s.wilson_hi,
-                    "" if s.analytic_ref is None else s.analytic_ref,
-                ]
-            )
+            values = (getattr(s, attr) for _, attr in columns)
+            writer.writerow(["" if v is None else v for v in values])
 
     bad = [s for s in summaries if s.errors / s.trials > MAX_CELL_ERROR_RATE]
     if bad:
@@ -705,12 +676,15 @@ def run_oracle_suite(
                 report["identity_violations"] += 1
             if (morse_square_count > 0) != (has_isolated_square(g) is not None):
                 report["identity_violations"] += 1
-            # the oracle's judgement of every induced cycle of length >= 4,
-            # not count_morse_cycles, which runs the search's own engine
-            found = morse_pruned_cycle_search(g, 4, n) is not None
-            any_morse = any(len(c) >= 4 and morse_oracle(g, c) for c in cycle_sets)
-            if found != any_morse:
-                report["search_mismatches"] += 1
+            # the oracle's judgement of every induced cycle of length >= kmin,
+            # not count_morse_cycles, which runs the search's own engine; the
+            # kmin = 4 search returns at the first Morse square, so only the
+            # kmin = 5 search reaches the DFS on every graph
+            for kmin in (4, 5):
+                found = morse_pruned_cycle_search(g, kmin, n) is not None
+                any_morse = any(len(c) >= kmin and morse_oracle(g, c) for c in cycle_sets)
+                if found != any_morse:
+                    report["search_mismatches"] += 1
 
     checks = [
         (

@@ -21,10 +21,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .cycles import (
     CycleWitness,
+    _Budget,
     _diagonal_bucket,
     _diagonal_candidates,
+    _pruned_engine,
     as_witness,
-    count_morse_cycles_pruned,
 )
 from .errors import InvalidParameter
 from .graph import Graph, iter_bits, vertex_mask
@@ -128,10 +129,13 @@ def count_morse_cycles(g: Graph, k: int, *, budget: int | None = None) -> int:
 
     k = 4 counts the :func:`morse_squares` scan; k >= 5 counts through the
     pruned DFS, which visits exactly the cycles all of whose non-adjacent
-    pairs survive the clique test -- the same set the definition selects.
+    pairs survive the clique test -- the same set the definition selects --
+    without materializing the others.  For k >= 5 ``budget`` caps the DFS as
+    in :func:`~morsegraph.cycles.morse_pruned_cycle_search`.
     """
     if k < 4:
         raise InvalidParameter(f"Morse cycles have k >= 4, got k={k}")
     if k == 4:
         return sum(1 for witness in morse_squares(g) if witness is not None)
-    return count_morse_cycles_pruned(g, k, budget)
+    _, count = _pruned_engine(g, k, k, _Budget(budget), find_first=False)
+    return count

@@ -13,7 +13,6 @@ edge set.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 from .cycles import CycleWitness, _diagonal_bucket, _diagonal_candidates, enumerate_induced_squares
@@ -57,8 +56,8 @@ class SquareGraph:
     ``squares[i]`` is the i-th induced 4-cycle in canonical order;
     ``diagonal_index`` maps each diagonal pair to the square indices having
     it as a diagonal.  Every square appears in exactly two buckets.
-    Components are computed lazily, once, and cached; the instance is
-    otherwise immutable and safe to query concurrently.
+    Components are computed on first request and cached on the instance;
+    nothing else about it changes after construction.
     """
 
     host_n: int
@@ -67,7 +66,6 @@ class SquareGraph:
     _components: tuple[tuple[tuple[int, ...], VertexSet], ...] | None = field(
         default=None, repr=False
     )
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __len__(self) -> int:
         return len(self.squares)
@@ -114,11 +112,7 @@ def components(sq: SquareGraph) -> tuple[tuple[tuple[int, ...], VertexSet], ...]
     union of the component's squares' vertices.  Ordered by each
     component's minimal square index.  Memoized after the first call.
     """
-    if sq._components is not None:
-        return sq._components
-    with sq._lock:
-        if sq._components is not None:
-            return sq._components
+    if sq._components is None:
         uf = _UnionFind(len(sq.squares))
         for members in sq.diagonal_index.values():
             first = members[0]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -21,10 +22,10 @@ from morsegraph import (
     trial_seed,
 )
 from morsegraph.cycles import (
+    _BLOCK_CELLS,
     _diagonal_bucket,
     _diagonal_candidates,
     _make_bad_bits,
-    count_morse_cycles_pruned,
 )
 from helpers import (
     brute_induced_cycles,
@@ -145,11 +146,33 @@ def test_squares_match_cycle_enumeration(seed):
 
 
 def test_square_prefilter_paths_agree():
-    g = sample_gnp(150, 0.12, 8)
-    fast = list(_diagonal_candidates(g, True))
-    plain = list(_diagonal_candidates(g, False))
-    assert fast == plain
-    assert len(fast) > 0
+    # the row-blocked filter against common neighborhoods from Python sets;
+    # n = 600 spans two row blocks, the second one partial
+    assert 600 > _BLOCK_CELLS // 600 and 600 % (_BLOCK_CELLS // 600)
+    for n, p in [(1, 0.5), (2, 1.0), (40, 0.2), (150, 0.12), (600, 0.05)]:
+        g = sample_gnp(n, p, 8)
+        nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
+        brute = [
+            (u, w)
+            for u, w in combinations(range(n), 2)
+            if w not in nbrs[u] and len(nbrs[u] & nbrs[w]) >= 2
+        ]
+        assert list(_diagonal_candidates(g)) == brute
+        assert brute or n < 3
+
+
+def test_first_diagonal_candidate_memory():
+    # the first candidate costs the float32 adjacency matrix, 4 bytes per
+    # vertex pair, and the work of one row block
+    n = 2048
+    g = sample_gnp(n, 0.03, 11)
+    tracemalloc.start()
+    try:
+        next(_diagonal_candidates(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * n
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -207,9 +230,9 @@ def test_pruned_search_stops_below_kmax():
     # each of the 6 anchors of a 10-vertex path extends to 4-vertex paths and
     # no further: 3 popped candidates per anchor, none at a fifth path vertex
     g = path_graph(10)
-    assert count_morse_cycles_pruned(g, 5, 18) == 0
+    assert count_morse_cycles(g, 5, budget=18) == 0
     with pytest.raises(SearchBudgetExceeded):
-        count_morse_cycles_pruned(g, 5, 17)
+        count_morse_cycles(g, 5, budget=17)
 
 
 @pytest.mark.parametrize("n, p, seed", [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)])

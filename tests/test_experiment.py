@@ -109,9 +109,8 @@ def test_witnesses_returned_where_defined():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_morse_square_witness_is_first_oracle_square(seed):
-    # n is past the prefilter cutoff, so the candidate diagonals come from
-    # the matrix path; the answer must be the first Morse square in
-    # enumeration order as the literal oracle judges it
+    # the answer must be the first Morse square in enumeration order as the
+    # literal oracle judges it
     g = sample_gnp(140, 0.1, trial_seed(9001, seed))
     first = next(
         w for w, _ in enumerate_induced_squares(g) if morse_oracle(g, w.vertices)

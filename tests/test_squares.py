@@ -66,9 +66,6 @@ def test_wide_diagonal_bucket():
     assert len(comps) == 1 and comps[0][1] == frozenset(range(52))
     assert is_cfs(g, sq)
     assert is_square_graph_connected(sq)
-    from morsegraph.cycles import count_induced_squares
-
-    assert count_induced_squares(g) == len(sq)
 
 
 def test_square_free_host():
@@ -123,8 +120,8 @@ def test_has_isolated_square_returns_valid_witness():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_isolated_scan_matches_full_build_with_prefilter(seed):
-    # n past the matrix-prefilter cutoff; the early-exit scan and the full
-    # square-graph build must agree on existence
+    # a random graph with many candidate diagonals; the early-exit scan and
+    # the full square-graph build must agree on existence
     g = sample_gnp(150, 0.09, trial_seed(2150, seed))
     sq = build_square_graph(g)
     assert (isolated_count(sq) > 0) == (has_isolated_square(g) is not None)
@@ -180,19 +177,6 @@ def test_cfs_host_mismatch_rejected():
         is_cfs(cycle_graph(5), sq)
 
 
-def test_components_memoize_safely_across_threads():
-    import threading
-
-    g = sample_gnp(40, 0.2, 2024)
-    sq = build_square_graph(g)
-    results = []
-
-    def worker():
-        results.append(components(sq))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)  # one shared memoized tuple
+def test_components_are_memoized():
+    sq = build_square_graph(sample_gnp(40, 0.2, 2024))
+    assert components(sq) is components(sq)
