@@ -27,9 +27,7 @@ from .errors import (
     ConfigError,
     EdgeListFormatError,
     InvalidEdge,
-    InvalidPair,
     InvalidParameter,
-    InvalidQuad,
     InvalidWitness,
     MorsegraphError,
     OutOfDomain,
@@ -61,11 +59,6 @@ from .gnp import (
 from .graph import (
     Graph,
     build_graph,
-    common_neighbors,
-    graph_to_text,
-    is_clique,
-    is_induced_square,
-    link,
     read_edge_list,
     write_edge_list,
 )

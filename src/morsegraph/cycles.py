@@ -8,12 +8,17 @@ once, already in canonical form, without post-hoc deduplication.
 Induced squares come from diagonal buckets: the bucket of a non-adjacent
 pair {u, w} is the set of non-adjacent pairs inside N(u) & N(w), and each
 pair {x, y} in it spans the square u-x-w-y.  Only pairs with at least two
-common neighbors can have a non-empty bucket; ``_diagonal_candidates``
-streams them lazily in lexicographic order, filtered by a matrix product
-over one bounded block of adjacency rows at a time.  ``_diagonal_bucket`` is
-the one scan of a bucket; square enumeration, the isolated-square scan and
-the Morse-square scan all read these two.  A square is emitted from its
-smaller diagonal, which makes its vertex order canonical as built.
+common neighbors can have a non-empty bucket; ``_candidate_blocks`` yields
+them as index arrays, one block of adjacency rows at a time in
+lexicographic order, filtered by a matrix product over that block.  Two
+kinds of consumer read these blocks.  ``_square_blocks`` lists every square
+of a block at once as a ``(k, 4)`` array: each candidate gathers its
+neighbors from CSR neighbor lists, keeps the common ones, and pairs the
+non-adjacent ones.  ``_diagonal_candidates`` flattens the blocks lazily
+into Python pairs for the scans that stop early -- the isolated-square scan
+and the Morse-square scan -- which read one bucket at a time through
+``_diagonal_bucket``.  A square is emitted from its smaller diagonal, which
+makes its vertex order canonical as built.
 
 The pruned search rests on the pair condition (Tran, "On strongly
 quasiconvex subgroups", Geom. Topol. 2019): a cycle of length at least 5 is
@@ -45,6 +50,8 @@ DEFAULT_SEARCH_BUDGET = 10**8
 
 # Matrix entries per row block of the diagonal-candidate filter.
 _BLOCK_CELLS = 2**18
+# Candidate pairs turned into Python ints at a time.
+_PAIR_CHUNK = 2**12
 
 
 @dataclass(frozen=True, order=True)
@@ -164,34 +171,61 @@ def count_induced_cycles(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_candidates(g: Graph) -> Iterator[tuple[int, int]]:
-    """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, in
-    lexicographic order.
+def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, as
+    one ``(us, ws)`` pair of index arrays per block of rows, in lexicographic
+    order.
 
     These are exactly the pairs that can occur as a diagonal of an induced
     square.  The pair filter is a matrix product taken one block of rows at a
-    time: a block of rows of the 0/1 adjacency matrix times the whole matrix
-    gives those rows' common-neighbor counts.  Blocks hold about
-    ``_BLOCK_CELLS`` entries, so memory beyond the matrix itself stays bounded
-    at any n, and a consumer that stops early pays only for the blocks it read.
+    time: a block of rows of the float32 0/1 adjacency matrix times the whole
+    matrix gives those rows' common-neighbor counts.  The matrix is unpacked
+    from the bit rows block by block too, so beyond its 4 bytes per vertex
+    pair memory stays bounded by ``_BLOCK_CELLS`` at any n, and a consumer
+    that stops early pays only for the blocks it read.
     """
     n = g.n
-    words = max((n + 63) // 64, 1)
-    buf = b"".join(row.to_bytes(words * 8, "little") for row in g.rows)
-    matrix = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(n, words * 8),
-        axis=1,
-        count=n,
-        bitorder="little",
-    ).astype(np.float32)
+    packed = _packed_rows(g)
     step = max(_BLOCK_CELLS // max(n, 1), 1)
+    matrix = np.empty((n, n), dtype=np.float32)
+    for start in range(0, n, step):
+        matrix[start : start + step] = np.unpackbits(
+            packed[start : start + step], axis=1, count=n, bitorder="little"
+        )
     for start in range(0, n, step):
         block = matrix[start : start + step]
         counts = block @ matrix
         # keep w > u: column w of block row i is the pair (start + i, w)
         cand = np.triu((block == 0) & (counts >= 2.0), start + 1)
+        del counts  # not held beside the pair arrays
         us, ws = np.nonzero(cand)
-        yield from zip((us + start).tolist(), ws.tolist())
+        us += start
+        yield us, ws
+
+
+def _diagonal_candidates(g: Graph) -> Iterator[tuple[int, int]]:
+    """The pairs of ``_candidate_blocks`` one at a time, in the same order.
+
+    Each block's pairs become Python ints a chunk of ``_PAIR_CHUNK`` at a
+    time, so a consumer that stops early never holds a whole block of them.
+    """
+    for us, ws in _candidate_blocks(g):
+        for i in range(0, len(us), _PAIR_CHUNK):
+            yield from zip(us[i : i + _PAIR_CHUNK].tolist(), ws[i : i + _PAIR_CHUNK].tolist())
+
+
+def _packed_rows(g: Graph) -> np.ndarray:
+    """The adjacency rows as an ``(n, bytes)`` uint8 array: bit ``v & 7`` of
+    byte ``v >> 3`` in row ``u`` is set iff ``u`` and ``v`` are adjacent."""
+    width = max((g.n + 63) // 64, 1) * 8
+    buf = b"".join(row.to_bytes(width, "little") for row in g.rows)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(g.n, width)
+
+
+def _adjacent(packed: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Elementwise adjacency of the vertex arrays ``us`` and ``vs``."""
+    cells = packed.ravel()[us * packed.shape[1] + (vs >> 3)]
+    return (cells >> (vs & 7).astype(np.uint8)) & 1 == 1
 
 
 def _diagonal_bucket(
@@ -217,23 +251,60 @@ def _diagonal_bucket(
     return pairs
 
 
+def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
+    """Every induced 4-cycle of ``g`` once, as ``(k, 4)`` arrays of rows
+    ``(u, x, w, y)``, one array per block of ``_candidate_blocks``.
+
+    Each candidate diagonal ``(u, w)`` gathers its neighbors above ``u`` from
+    CSR neighbor lists and keeps those adjacent to ``w``; every non-adjacent
+    pair ``x < y`` of them spans the square u-x-w-y.  Taking only centers
+    above ``u`` emits a square from its smaller diagonal alone, where ``u`` is
+    least and ``x < y``, so each row is already canonical.  Rows come in
+    lexicographic order of ``(u, w, x, y)``.
+    """
+    n = g.n
+    packed = _packed_rows(g)
+    # neighbors above each vertex: above[ptr[v]:ptr[v + 1]], ascending
+    lows, above = np.nonzero(np.unpackbits(packed, axis=1, count=n, bitorder="little"))
+    lows, above = lows[above > lows], above[above > lows]
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(lows, minlength=n), out=ptr[1:])
+    for us, ws in _candidate_blocks(g):
+        deg = ptr[us + 1] - ptr[us]
+        owner = np.repeat(np.arange(len(us)), deg)
+        xs = above[_ranges(ptr[us], deg)]
+        common = _adjacent(packed, np.repeat(ws, deg), xs)
+        owner, xs = owner[common], xs[common]
+        # each common neighbor pairs with the later ones of its candidate
+        group_end = np.cumsum(np.bincount(owner, minlength=len(us)))
+        later = group_end[owner] - np.arange(len(xs)) - 1
+        first = np.repeat(np.arange(len(xs)), later)
+        second = _ranges(np.arange(1, len(xs) + 1), later)
+        x, y = xs[first], xs[second]
+        keep = ~_adjacent(packed, x, y)
+        o = owner[first[keep]]
+        yield np.stack([us[o], x[keep], ws[o], y[keep]], axis=1)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i] .. starts[i] + lengths[i] - 1``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
 Diagonals = tuple[tuple[int, int], tuple[int, int]]
 
 
 def enumerate_induced_squares(g: Graph) -> Iterator[tuple[CycleWitness, Diagonals]]:
     """Yield each induced 4-cycle of ``g`` once, with its two diagonals.
 
-    Scans non-adjacent pairs ``(u, w)`` and emits one square per pair
-    ``(x, y)`` of their diagonal bucket; a square is emitted only while
-    scanning the lexicographically smaller of its two diagonals, so each
-    appears exactly once.  Order is deterministic.
+    A view over ``_square_blocks``: squares come in its order, one row block
+    of candidate diagonals at a time, as canonical ``(u, x, w, y)`` witnesses
+    with diagonals ``((u, w), (x, y))``.
     """
-    for u, w in _diagonal_candidates(g):
-        for x, y in _diagonal_bucket(g, u, w):
-            # from its smaller diagonal, a square has u least and x < y, so
-            # (u, x, w, y) is already canonical
-            if (u, w) < (x, y):
-                yield CycleWitness((u, x, w, y)), ((u, w), (x, y))
+    for block in _square_blocks(g):
+        for u, x, w, y in block.tolist():
+            yield CycleWitness((u, x, w, y)), ((u, w), (x, y))
 
 
 # ---------------------------------------------------------------------------

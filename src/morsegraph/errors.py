@@ -13,14 +13,6 @@ class VertexOutOfRange(MorsegraphError):
     """A vertex id is not in 0..n-1 for the graph at hand."""
 
 
-class InvalidPair(MorsegraphError):
-    """A two-vertex operation was given a degenerate pair."""
-
-
-class InvalidQuad(MorsegraphError):
-    """A four-vertex operation was given non-distinct vertices."""
-
-
 class InvalidParameter(MorsegraphError):
     """A numeric or structural argument is outside its allowed range."""
 

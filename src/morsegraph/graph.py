@@ -10,18 +10,10 @@ processes.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import IO, Iterable, Iterator, TypeAlias, Union
 
-from .errors import (
-    EdgeListFormatError,
-    InvalidEdge,
-    InvalidPair,
-    InvalidParameter,
-    InvalidQuad,
-    VertexOutOfRange,
-)
+from .errors import EdgeListFormatError, InvalidEdge, InvalidParameter, VertexOutOfRange
 
 VertexSet: TypeAlias = frozenset[int]
 
@@ -145,33 +137,6 @@ def vertex_mask(g: Graph, s: Iterable[int]) -> int:
     return mask
 
 
-def mask_to_set(mask: int) -> VertexSet:
-    return frozenset(iter_bits(mask))
-
-
-def link(g: Graph, v: int) -> VertexSet:
-    """The set of vertices adjacent to ``v`` (``v`` itself excluded).
-
-    >>> link(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 0)
-    frozenset({1, 4})
-    """
-    g.check_vertex(v)
-    return mask_to_set(g.rows[v])
-
-
-def common_neighbors_mask(g: Graph, u: int, w: int) -> int:
-    g.check_vertex(u)
-    g.check_vertex(w)
-    if u == w:
-        raise InvalidPair(f"common_neighbors needs two distinct vertices, got {u} twice")
-    return g.rows[u] & g.rows[w]
-
-
-def common_neighbors(g: Graph, u: int, w: int) -> VertexSet:
-    """``link(u) & link(w)``; never contains ``u`` or ``w``."""
-    return mask_to_set(common_neighbors_mask(g, u, w))
-
-
 def is_clique_mask(g: Graph, mask: int) -> bool:
     """True iff the vertices of ``mask`` are pairwise adjacent."""
     rest = mask
@@ -182,27 +147,6 @@ def is_clique_mask(g: Graph, mask: int) -> bool:
             return False
         rest ^= low
     return True
-
-
-def is_clique(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every unordered pair in ``s`` is an edge (vacuous for |s| <= 1)."""
-    return is_clique_mask(g, vertex_mask(g, s))
-
-
-def is_induced_square(g: Graph, a: int, b: int, c: int, d: int) -> bool:
-    """True iff ``a-b-c-d`` is a 4-cycle with both diagonals absent.
-
-    The answer is invariant under the eight dihedral reorderings of the
-    cycle.  Raises ``InvalidQuad`` unless the four vertices are distinct.
-    """
-    if len({a, b, c, d}) != 4:
-        raise InvalidQuad(f"vertices must be distinct, got {(a, b, c, d)}")
-    for v in (a, b, c, d):
-        g.check_vertex(v)
-    rows = g.rows
-    return bool(
-        (rows[a] >> b) & (rows[b] >> c) & (rows[c] >> d) & (rows[d] >> a) & 1
-    ) and not ((rows[a] >> c) & 1 or (rows[b] >> d) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +221,3 @@ def _read_edge_list(fh: IO[str]) -> Graph:
     if g.m != m:
         raise EdgeListFormatError(f"header promised {m} distinct edges, found {g.m}")
     return g
-
-
-def graph_to_text(g: Graph) -> str:
-    """The edge-list serialization of ``g`` as a string."""
-    buf = io.StringIO()
-    _write_edge_list(g, buf)
-    return buf.getvalue()

@@ -5,144 +5,148 @@ squares are adjacent iff they share a diagonal pair.  Sharing a diagonal is
 equivalent to the vertex intersection containing a non-adjacent pair: any
 non-adjacent pair inside an induced square is one of its diagonals, and two
 distinct squares cannot share both diagonals (the diagonal pair determines
-the square).  Components are therefore computed by uniting all squares
-within each diagonal bucket, never materializing the possibly quadratic
-edge set.
+the square).  So the square graph is kept as numpy arrays in diagonal-bucket
+form; its possibly quadratic edge set is built only for a dump.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .cycles import CycleWitness, _diagonal_bucket, _diagonal_candidates, enumerate_induced_squares
+import numpy as np
+
+from .cycles import CycleWitness, _diagonal_bucket, _diagonal_candidates, _ranges, _square_blocks
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
 
 DEFAULT_SQUARE_CAP = 10**7
 
-Pair = tuple[int, int]
-Square = tuple[int, int, int, int]
 
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # deterministic: smaller index wins, keeping component ids stable
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
-@dataclass
+@dataclass(eq=False)
 class SquareGraph:
-    """The square graph of ``host_n`` vertices' host, in diagonal-bucket form.
+    """The square graph of a host on ``host_n`` vertices, as arrays.
 
-    ``squares[i]`` is the i-th induced 4-cycle in canonical order;
-    ``diagonal_index`` maps each diagonal pair to the square indices having
-    it as a diagonal.  Every square appears in exactly two buckets.
-    Components are computed on first request and cached on the instance;
-    nothing else about it changes after construction.
+    Row i of ``squares`` is the i-th induced 4-cycle ``(u, x, w, y)``,
+    canonical, in lexicographic order of ``(u, w, x, y)``; ``diagonal_index``
+    lists the distinct diagonals in lexicographic order, and row i of
+    ``square_diagonals`` the ids in it of ``(u, w)`` and ``(x, y)``.  A
+    diagonal's bucket is the set of squares having it.  Derived arrays are
+    computed on first request and cached on the instance.
     """
 
     host_n: int
-    squares: tuple[Square, ...]
-    diagonal_index: dict[Pair, tuple[int, ...]]
-    _components: tuple[tuple[tuple[int, ...], VertexSet], ...] | None = field(
-        default=None, repr=False
-    )
+    squares: np.ndarray
+    diagonal_index: np.ndarray
+    square_diagonals: np.ndarray
 
     def __len__(self) -> int:
         return len(self.squares)
 
+    @cached_property
+    def bucket_sizes(self) -> np.ndarray:
+        """Number of squares on each diagonal, indexed like ``diagonal_index``."""
+        return np.bincount(self.square_diagonals.ravel(), minlength=len(self.diagonal_index))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The least square id in each square's component.
+
+        ``members[j]`` holds the j-th square of each bucket of more than j,
+        buckets by decreasing size, so it is aligned with the start of
+        ``members[0]``: each bucket's later squares are united with its first.
+        """
+        order = np.argsort(self.square_diagonals.ravel())  # square slots by bucket
+        sizes = self.bucket_sizes
+        position = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rank = np.repeat(np.argsort(np.argsort(-sizes)), sizes)
+        layout = order[np.argsort(position * len(sizes) + rank)] // 2
+        members = np.split(layout, np.cumsum(np.bincount(position))[:-1])
+        edges = [np.empty((0, 2), dtype=np.intp)]
+        for other in members[1:]:
+            edges.append(np.stack([members[0][: len(other)], other], axis=1))
+        a, b = np.concatenate(edges).T
+        label = np.arange(len(self))
+        while len(a):
+            # min-label propagation: hook the larger root of each edge onto
+            # the smaller, then jump every label to its root
+            la, lb = label[a], label[b]
+            live = la != lb
+            a, b, la, lb = a[live], b[live], la[live], lb[live]
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            while not np.array_equal(label, jumped := label[label]):
+                label = jumped
+        return label
+
+    @cached_property
+    def supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct ``(label, vertex)`` pairs: a component's support is
+        the union of its diagonals' endpoints."""
+        diagonal_label = np.empty(len(self.diagonal_index), dtype=np.intp)
+        diagonal_label[self.square_diagonals] = self.labels[:, None]
+        n = max(self.host_n, 1)
+        keys = np.sort((diagonal_label[:, None] * n + self.diagonal_index).ravel())
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return keys // n, keys % n
+
+    @cached_property
+    def _components(self) -> tuple[tuple[tuple[int, ...], VertexSet], ...]:
+        cuts = np.flatnonzero(self.labels == np.arange(len(self)))[1:]
+        order = np.argsort(self.labels, kind="stable")
+        labels, vertices = self.supports
+        indices = np.split(order, np.searchsorted(self.labels[order], cuts))
+        groups = np.split(vertices, np.searchsorted(labels, cuts))
+        return tuple(
+            (tuple(i.tolist()), frozenset(v.tolist())) for i, v in zip(indices, groups) if len(i)
+        )
+
 
 def build_square_graph(g: Graph, *, cap: int = DEFAULT_SQUARE_CAP) -> SquareGraph:
-    """Collect all induced 4-cycles of ``g`` with their diagonal index.
+    """Collect all induced 4-cycles of ``g`` with their diagonals.
 
     Aborts with ``CapacityExceeded`` once more than ``cap`` squares exist;
     the structure is never silently truncated.
     """
-    squares: list[Square] = []
-    index: dict[Pair, list[int]] = {}
-    for witness, (d1, d2) in enumerate_induced_squares(g):
-        if len(squares) >= cap:
+    blocks, count = [np.empty((0, 4), dtype=np.intp)], 0
+    for block in _square_blocks(g):
+        count += len(block)
+        if count > cap:
             raise CapacityExceeded(f"square count exceeded cap ({cap})")
-        i = len(squares)
-        squares.append(witness.vertices)
-        index.setdefault(d1, []).append(i)
-        index.setdefault(d2, []).append(i)
-    frozen = {pair: tuple(members) for pair, members in index.items()}
-    return SquareGraph(host_n=g.n, squares=tuple(squares), diagonal_index=frozen)
+        blocks.append(block)
+    squares = np.concatenate(blocks)
+    # the diagonals (u, w) and (x, y) of each square as keys a * n + b
+    n = max(g.n, 1)
+    keys, ids = np.unique(squares[:, [0, 1]] * n + squares[:, [2, 3]], return_inverse=True)
+    return SquareGraph(g.n, squares, np.stack([keys // n, keys % n], axis=1), ids.reshape(-1, 2))
 
 
 def isolated_count(sq: SquareGraph) -> int:
-    """Number of squares adjacent to no other square in the square graph.
-
-    A square is isolated iff both of its diagonal buckets are singletons.
-    """
-    index = sq.diagonal_index
-    count = 0
-    for a, b, c, d in sq.squares:
-        d1 = (a, c) if a < c else (c, a)
-        d2 = (b, d) if b < d else (d, b)
-        if len(index[d1]) == 1 and len(index[d2]) == 1:
-            count += 1
-    return count
+    """Number of isolated square-graph vertices: squares whose two buckets are singletons."""
+    return int(np.count_nonzero((sq.bucket_sizes[sq.square_diagonals] == 1).all(axis=1)))
 
 
 def components(sq: SquareGraph) -> tuple[tuple[tuple[int, ...], VertexSet], ...]:
     """Connected components under shared-diagonal adjacency.
 
-    Returns ``(square_indices, support)`` pairs, where the support is the
-    union of the component's squares' vertices.  Ordered by each
-    component's minimal square index.  Memoized after the first call.
+    ``(square_indices, support)`` pairs, the support being the union of the
+    squares' vertices, ordered by least square index; built once, memoized.
     """
-    if sq._components is None:
-        uf = _UnionFind(len(sq.squares))
-        for members in sq.diagonal_index.values():
-            first = members[0]
-            for other in members[1:]:
-                uf.union(first, other)
-        groups: dict[int, list[int]] = {}
-        for i in range(len(sq.squares)):
-            groups.setdefault(uf.find(i), []).append(i)
-        result = []
-        for root in sorted(groups):
-            indices = tuple(groups[root])
-            support = frozenset(v for i in indices for v in sq.squares[i])
-            result.append((indices, support))
-        sq._components = tuple(result)
     return sq._components
 
 
 def is_cfs(g: Graph, sq: SquareGraph) -> bool:
     """True iff some square-graph component's support covers every vertex of ``g``.
 
-    A disconnected host or an empty square graph yields ``False``; there is
-    no cone-vertex quotient here, the support must equal the full vertex
-    set.
+    A disconnected host or an empty square graph yields ``False``; there is no
+    cone-vertex quotient here, the support must equal the full vertex set.
     """
     if sq.host_n != g.n:
         raise InvalidParameter("square graph was built from a different host")
-    if g.n == 0:
-        return False
     full = frozenset(range(g.n))
-    return any(support == full for _, support in components(sq))
+    labels, vertices = sq.supports
+    widest = np.flatnonzero(np.bincount(labels) == g.n)
+    return any(frozenset(vertices[labels == c].tolist()) == full for c in widest)
 
 
 def is_square_graph_connected(sq: SquareGraph) -> bool:
@@ -151,19 +155,16 @@ def is_square_graph_connected(sq: SquareGraph) -> bool:
     The empty square graph reports ``False``; callers that need to tell
     "empty" apart from "disconnected" should also test ``len(sq) == 0``.
     """
-    return len(components(sq)) == 1
+    return len(sq) > 0 and not sq.labels.any()
 
 
-def has_isolated_square(g: Graph) -> Square | None:
-    """Early-exit scan for an isolated square-graph vertex of ``g``.
+def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:
+    """One isolated square-graph vertex of ``g`` as a canonical 4-tuple, or ``None``.
 
-    Returns one isolated square (as its canonical 4-tuple) or ``None``.
     A square is isolated iff each of its diagonals' buckets holds only the
     other diagonal, so the scan takes each candidate diagonal ``(u, w)``
     whose bucket is a single pair ``(x, y)`` and tests the bucket of
-    ``(x, y)`` for being exactly ``(u, w)``.  Equivalent to
-    ``isolated_count(build_square_graph(g)) > 0`` but stops at the first hit
-    and never stores the square list.
+    ``(x, y)`` for being exactly ``(u, w)``.  Stops at the first hit.
     """
     for u, w in _diagonal_candidates(g):
         bucket = _diagonal_bucket(g, u, w, 2)
@@ -176,20 +177,17 @@ def has_isolated_square(g: Graph) -> Square | None:
     return None
 
 
-def square_graph_edges(sq: SquareGraph) -> list[Pair]:
-    """Materialized edge list of the square graph (index pairs, sorted).
+def square_graph_edges(sq: SquareGraph) -> np.ndarray:
+    """Edge array of the square graph: index pairs ``a < b``, sorted.
 
-    Distinct squares share at most one diagonal, so bucket expansion never
-    produces a duplicate pair.
+    Each pair of squares in a bucket is an edge; distinct squares share at
+    most one diagonal, so no pair occurs twice.
     """
-    edges: list[Pair] = []
-    for members in sq.diagonal_index.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                edges.append((a, b) if a < b else (b, a))
-    edges.sort()
-    return edges
+    members = np.argsort(sq.square_diagonals.ravel()) // 2  # grouped by bucket
+    later = np.repeat(np.cumsum(sq.bucket_sizes), sq.bucket_sizes) - np.arange(len(members)) - 1
+    second = members[_ranges(np.arange(1, len(members) + 1), later)]
+    edges = np.sort(np.stack([np.repeat(members, later), second], axis=1), axis=1)
+    return edges[np.lexsort(edges.T[::-1])]
 
 
 def dump_square_graph(sq: SquareGraph, dest: PathLike) -> str:
@@ -201,11 +199,11 @@ def dump_square_graph(sq: SquareGraph, dest: PathLike) -> str:
     """
     edges = square_graph_edges(sq)
     with open(dest, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{len(sq.squares)} {len(edges)}\n")
-        for a, b in edges:
-            fh.write(f"{a} {b}\n")
+        fh.write(f"{len(sq)} {len(edges)}\n")
+        for chunk in np.array_split(edges, len(edges) // 2**16 + 1):
+            fh.writelines(f"{a} {b}\n" for a, b in chunk.tolist())
     companion = f"{dest}.json"
-    mapping = {str(i): list(square) for i, square in enumerate(sq.squares)}
+    mapping = {str(i): square for i, square in enumerate(sq.squares.tolist())}
     with open(companion, "w", encoding="ascii") as fh:
         json.dump(mapping, fh, separators=(",", ":"))
         fh.write("\n")

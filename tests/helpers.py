@@ -56,6 +56,21 @@ def brute_induced_squares(g: Graph) -> set[tuple[int, ...]]:
     return found
 
 
+def neighbor_set_squares(g: Graph) -> set[tuple[int, ...]]:
+    """All induced 4-cycles from Python sets of neighbors, for graphs too
+    large for the 4-subset search: a non-adjacent pair u, w and a
+    non-adjacent pair x, y of their common neighbors span the square u-x-w-y."""
+    nbrs = [{v for v in range(g.n) if g.adjacent(u, v)} for u in range(g.n)]
+    found = set()
+    for u, w in combinations(range(g.n), 2):
+        if w in nbrs[u]:
+            continue
+        for x, y in combinations(sorted(nbrs[u] & nbrs[w]), 2):
+            if y not in nbrs[x]:
+                found.add(canonical_cycle((u, x, w, y)))
+    return found
+
+
 def brute_is_morse_subset(g: Graph, s) -> bool:
     """Morse condition restated verbatim over brute-forced squares."""
     inside = set(s)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,29 @@ def test_squaregraph_output(tmp_path, capsys):
     assert dumped.n == 3 and dumped.m == 3
     mapping = json.loads((tmp_path / "sq.edges.json").read_text())
     assert set(mapping) == {"0", "1", "2"}
+
+
+def test_squaregraph_dump_golden(tmp_path, capsys):
+    # digests recorded from the tuple-and-dict square graph that preceded the
+    # numpy arrays: the dump files must stay the same byte for byte
+    path = tmp_path / "g.edges"
+    write_edge_list(sample_gnp(150, density_from_coefficient(0.6, 150).p, 7), path)
+    dump = tmp_path / "sq.edges"
+    code, stdout, _ = run_cli(capsys, "squaregraph", "--in", str(path), "--dump", str(dump))
+    assert code == 0
+    assert json.loads(stdout) == {
+        "squares": 7129,
+        "isolated": 176,
+        "components": 204,
+        "cfs": True,
+        "connected": False,
+        "empty": False,
+    }
+    digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (dump, tmp_path / "sq.edges.json")]
+    assert digests == [
+        "e045f410f4db9729caa104e44f12c79c19aec8a88d7acb78fa6645a53264bd3f",
+        "f2b642f5a56064533ee2ebdec9bf61d598918c4c520f8a25b4fc38bffedf9040",
+    ]
 
 
 def test_analytic_thresholds_match_library(capsys):

@@ -163,7 +163,9 @@ def test_square_prefilter_paths_agree():
 
 def test_first_diagonal_candidate_memory():
     # the first candidate costs the float32 adjacency matrix, 4 bytes per
-    # vertex pair, and the work of one row block
+    # vertex pair, the packed bit rows and the work of one row block: the
+    # matrix is unpacked block by block and the block's pairs become Python
+    # ints a chunk at a time
     n = 2048
     g = sample_gnp(n, 0.03, 11)
     tracemalloc.start()
@@ -172,7 +174,7 @@ def test_first_diagonal_candidate_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * n * n
+    assert peak <= 5 * n * n
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -7,19 +7,13 @@ from hypothesis import strategies as st
 from morsegraph import (
     EdgeListFormatError,
     InvalidEdge,
-    InvalidPair,
-    InvalidQuad,
     VertexOutOfRange,
     build_graph,
-    common_neighbors,
-    graph_to_text,
-    is_clique,
-    is_induced_square,
-    link,
     read_edge_list,
     sample_gnp,
     write_edge_list,
 )
+from morsegraph.graph import is_clique_mask, vertex_mask
 from helpers import complete_graph, cycle_graph, path_graph
 
 
@@ -52,51 +46,14 @@ def test_duplicate_edges_collapse():
     assert g.m == 1
 
 
-def test_link_examples():
-    assert link(cycle_graph(5), 0) == {1, 4}
-    assert link(build_graph(4, []), 2) == frozenset()
-    assert link(complete_graph(4), 2) == {0, 1, 3}
-    with pytest.raises(VertexOutOfRange):
-        link(cycle_graph(5), 5)
-
-
-def test_common_neighbors_examples():
-    assert common_neighbors(path_graph(3), 0, 2) == {1}
-    assert common_neighbors(complete_graph(4), 0, 2) == {1, 3}
-    assert common_neighbors(build_graph(2, []), 0, 1) == frozenset()
-    with pytest.raises(InvalidPair):
-        common_neighbors(path_graph(3), 1, 1)
-
-
 def test_is_clique_examples():
     g = path_graph(3)
-    assert is_clique(g, [])
-    assert is_clique(g, [1])
-    assert not is_clique(g, [0, 2])
+    assert is_clique_mask(g, 0)
+    assert is_clique_mask(g, 0b10)
+    assert not is_clique_mask(g, 0b101)
     k4 = complete_graph(4)
-    assert is_clique(k4, [0, 1, 3])
-    assert is_clique(k4, [0, 1, 2, 3])
-
-
-def test_is_induced_square_examples():
-    c4 = cycle_graph(4)
-    assert is_induced_square(c4, 0, 1, 2, 3)
-    assert not is_induced_square(complete_graph(4), 0, 1, 2, 3)
-    assert not is_induced_square(path_graph(4), 0, 1, 2, 3)
-    with pytest.raises(InvalidQuad):
-        is_induced_square(c4, 0, 1, 2, 2)
-
-
-def test_is_induced_square_dihedral_invariance():
-    g = sample_gnp(12, 0.5, 5)
-    quads = [(0, 3, 7, 9), (1, 2, 5, 8), (2, 4, 6, 11)]
-    for a, b, c, d in quads:
-        reference = is_induced_square(g, a, b, c, d)
-        orbit = [
-            (a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c),
-            (d, c, b, a), (c, b, a, d), (b, a, d, c), (a, d, c, b),
-        ]
-        assert all(is_induced_square(g, *q) == reference for q in orbit)
+    assert is_clique_mask(k4, 0b1011)
+    assert is_clique_mask(k4, 0b1111)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,21 +66,12 @@ def test_sampled_graphs_are_symmetric_and_consistent(seed, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32))
-def test_common_neighbors_equals_link_intersection(seed):
-    g = sample_gnp(16, 0.45, seed)
-    for u in range(4):
-        for w in range(u + 1, 8):
-            assert common_neighbors(g, u, w) == link(g, u) & link(g, w)
-
-
-@settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32), size=st.integers(0, 6))
 def test_is_clique_matches_edge_count(seed, size):
     g = sample_gnp(12, 0.6, seed)
     s = list(range(size))
     induced_edges = sum(1 for i in s for j in s if i < j and g.adjacent(i, j))
-    assert is_clique(g, s) == (induced_edges == size * (size - 1) // 2)
+    assert is_clique_mask(g, vertex_mask(g, s)) == (induced_edges == size * (size - 1) // 2)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -163,13 +111,6 @@ def test_edge_list_reader_rejects_bad_vertices():
         read_edge_list(io.StringIO("2 1\n0 5\n"))
     with pytest.raises(InvalidEdge):
         read_edge_list(io.StringIO("2 1\n1 1\n"))
-
-
-def test_graph_to_text_matches_writer(tmp_path):
-    g = sample_gnp(10, 0.5, 3)
-    path = tmp_path / "g.edges"
-    write_edge_list(g, path)
-    assert graph_to_text(g) == path.read_text()
 
 
 def test_module_doctests():

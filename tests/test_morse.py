@@ -132,14 +132,19 @@ def test_cycle_check_agrees_with_subset_check(seed):
 def test_morse_square_equals_isolated_square_vertex(seed):
     g = sample_gnp(18, 0.3, trial_seed(864, seed))
     sq = build_square_graph(g)
-    index = {square: i for i, square in enumerate(sq.squares)}
+    squares = [tuple(square) for square in sq.squares.tolist()]
+    index = {square: i for i, square in enumerate(squares)}
+    diagonals = [
+        (tuple(sorted((square[0], square[2]))), tuple(sorted((square[1], square[3]))))
+        for square in squares
+    ]
+    buckets = {}
+    for i, pairs in enumerate(diagonals):
+        for pair in pairs:
+            buckets.setdefault(pair, []).append(i)
     isolated = set()
-    for i, square in enumerate(sq.squares):
-        d1, d2 = (
-            tuple(sorted((square[0], square[2]))),
-            tuple(sorted((square[1], square[3]))),
-        )
-        if len(sq.diagonal_index[d1]) == 1 and len(sq.diagonal_index[d2]) == 1:
+    for i, (d1, d2) in enumerate(diagonals):
+        if len(buckets[d1]) == 1 and len(buckets[d2]) == 1:
             isolated.add(i)
     for witness, _ in enumerate_induced_squares(g):
         assert is_morse_cycle(g, witness) == (index[witness.vertices] in isolated)
