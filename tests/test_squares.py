@@ -200,7 +200,8 @@ def test_components_are_memoized():
 
 def _reference_square_graph(g):
     """Squares in (u, w, x, y) order, bucket sizes, components and CFS, from
-    the brute-force square set and a union-find over shared diagonals."""
+    the squares listed by Python neighbor sets (checked against the 4-subset
+    brute force up to n = 40) and a union-find over shared diagonals."""
     found = neighbor_set_squares(g)
     if g.n <= 40:
         assert found == brute_induced_squares(g)
