@@ -15,10 +15,10 @@ kinds of consumer read these blocks.  ``_square_blocks`` lists every square
 of a block at once as a ``(k, 4)`` array: each candidate gathers its
 neighbors from CSR neighbor lists, keeps the common ones, and pairs the
 non-adjacent ones.  ``_diagonal_candidates`` flattens the blocks lazily
-into Python pairs for the scans that stop early -- the isolated-square scan
-and the Morse-square scan -- which read one bucket at a time through
-``_diagonal_bucket``.  A square is emitted from its smaller diagonal, which
-makes its vertex order canonical as built.
+into Python pairs for the isolated-square scan of ``squares``, which stops
+early and reads one bucket at a time through ``_diagonal_bucket``.  A
+square is emitted from its smaller diagonal, which makes its vertex order
+canonical as built.
 
 The pruned search rests on the pair condition (Tran, "On strongly
 quasiconvex subgroups", Geom. Topol. 2019): a cycle of length at least 5 is
@@ -32,8 +32,9 @@ close it are masked once against each middle path vertex (and extending
 candidates against the anchor), so popping a candidate costs one bit test
 and a failed pair cuts every branch through it.  A path of L vertices
 closes an (L + 1)-cycle, so paths stop growing at kmax - 1 vertices.  A
-square is Morse when both of its diagonal buckets hold only the other
-diagonal; length 4 is searched through ``morse.morse_squares``.
+square is Morse exactly when it is an isolated vertex of the square graph,
+both of its diagonal buckets holding only the other diagonal; length 4 is
+answered by the isolated-square scan, ``squares.has_isolated_square``.
 """
 
 from __future__ import annotations
@@ -430,35 +431,34 @@ def morse_pruned_cycle_search(
 ) -> CycleWitness | None:
     """Return some Morse k-cycle with ``kmin <= k <= kmax``, or ``None``.
 
-    Decides existence without full enumeration: branches whose partial path
-    already contains a disqualified pair are cut (sound for k >= 5 because
-    the disqualification is cycle-independent); length-4 candidates come
-    from ``morse.morse_squares``, one budget unit per candidate diagonal.
+    Decides existence without full enumeration.  For ``kmin = 4`` the first
+    isolated square (``squares.has_isolated_square``) is returned if there
+    is one; otherwise a DFS over k >= 5 cuts every branch whose partial path
+    already contains a disqualified pair (sound for k >= 5 because the
+    disqualification is cycle-independent).
 
     A node-expansion budget (default ``10**8``) guards pathological inputs;
     exhausting it raises ``SearchBudgetExceeded`` rather than answering.
-    For k >= 5 one unit is one popped candidate (a vertex that would extend
-    the path, whether or not it passes the pair test) or one closing
-    candidate (a vertex that would close a cycle of admissible length,
-    including the reflected orientations that are skipped).  Paths never
-    grow past kmax - 1 vertices, the longest that can still close a cycle.
+    The budget meters only the DFS: the square scan is bounded by its
+    candidate pairs, at most two bucket reads of at most two pairs each.
+    One unit is one popped candidate (a vertex that would extend the path,
+    whether or not it passes the pair test) or one closing candidate (a
+    vertex that would close a cycle of admissible length, including the
+    reflected orientations that are skipped).  Paths never grow past
+    kmax - 1 vertices, the longest that can still close a cycle.
     """
-    from .morse import is_morse_cycle, morse_squares
+    from .morse import is_morse_cycle
+    from .squares import has_isolated_square
 
     if kmin < 4:
         raise InvalidParameter(f"kmin must be >= 4, got {kmin}")
     if kmin > kmax:
         raise InvalidParameter(f"need kmin <= kmax, got [{kmin}, {kmax}]")
-    tracker = _Budget(budget)
-    if kmin == 4:
-        for witness in morse_squares(g):
-            tracker.spend()
-            if witness is not None:
-                return witness
-    lo = max(kmin, 5)
-    if lo > kmax:
-        return None
-    witness, _ = _pruned_engine(g, lo, kmax, tracker, find_first=True)
+    witness = None
+    if kmin == 4 and (square := has_isolated_square(g)) is not None:
+        witness = CycleWitness(square)
+    elif max(kmin, 5) <= kmax:
+        witness, _ = _pruned_engine(g, max(kmin, 5), kmax, _Budget(budget), find_first=True)
     if witness is not None:
         assert is_morse_cycle(g, witness)
     return witness

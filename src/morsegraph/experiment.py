@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .gnp import DensityPoint, density_from_coefficient, density_from_probability, sample_gnp, trial_seed
 from .graph import Graph, iter_bits
-from .morse import count_morse_cycles, is_morse_cycle, morse_squares
+from .morse import count_morse_cycles, is_morse_cycle
 from .squares import build_square_graph, has_isolated_square, is_cfs, is_square_graph_connected, isolated_count
 
 # ---------------------------------------------------------------------------
@@ -116,19 +117,21 @@ class PropertyKind:
         return self.name in _COUNT_PROPERTIES
 
 
+def _morse_range(prop: PropertyKind) -> tuple[int, int] | None:
+    """The cycle lengths ``(kmin, kmax)`` of a Morse-cycle existence tag, else ``None``."""
+    if prop.name == MORSE_CYCLE_EXISTS:
+        return prop.kmin, prop.kmax
+    return {MORSE_PENTAGON_EXISTS: (5, 5), MORSE_SQUARE_EXISTS: (4, 4)}.get(prop.name)
+
+
 def evaluate_property_with_witness(
     g: Graph, prop: PropertyKind
 ) -> tuple[bool | int, list[int] | None]:
     """Evaluate one property on one graph, with a witness where one exists."""
     name = prop.name
-    if name == MORSE_PENTAGON_EXISTS:
-        w = morse_pruned_cycle_search(g, 5, 5)
-        return (w is not None), (list(w.vertices) if w else None)
-    if name == MORSE_CYCLE_EXISTS:
-        w = morse_pruned_cycle_search(g, prop.kmin, prop.kmax)
-        return (w is not None), (list(w.vertices) if w else None)
-    if name == MORSE_SQUARE_EXISTS:
-        w = next(filter(None, morse_squares(g)), None)
+    bounds = _morse_range(prop)
+    if bounds is not None:
+        w = morse_pruned_cycle_search(g, *bounds)
         return (w is not None), (list(w.vertices) if w else None)
     if name == SQUARE_ISOLATED_EXISTS:
         sq = has_isolated_square(g)
@@ -250,6 +253,10 @@ class SweepConfig:
         def is_int(v) -> bool:
             return isinstance(v, int) and not isinstance(v, bool)
 
+        def is_real(v) -> bool:
+            # finite as a float: no inf or nan, no int that float() overflows
+            return (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
         ns = doc.get("ns")
         if not isinstance(ns, (list, tuple)) or not ns or not all(
             is_int(v) and v >= 2 for v in ns
@@ -261,13 +268,13 @@ class SweepConfig:
             raise ConfigError("coefficients", "exactly one of 'coefficients' or 'ps' is required")
         if coefficients is not None:
             if not isinstance(coefficients, (list, tuple)) or not coefficients or not all(
-                isinstance(v, (int, float)) and v >= 0 for v in coefficients
+                is_real(v) and v >= 0 for v in coefficients
             ):
-                raise ConfigError("coefficients", "need a non-empty array of reals >= 0")
+                raise ConfigError("coefficients", "need a non-empty array of finite reals >= 0")
             coefficients = tuple(float(v) for v in coefficients)
         if ps is not None:
             if not isinstance(ps, (list, tuple)) or not ps or not all(
-                isinstance(v, (int, float)) and 0 <= v <= 1 for v in ps
+                is_real(v) and 0 <= v <= 1 for v in ps
             ):
                 raise ConfigError("ps", "need a non-empty array of probabilities in [0, 1]")
             ps = tuple(float(v) for v in ps)
@@ -285,8 +292,8 @@ class SweepConfig:
         if not is_int(seed):
             raise ConfigError("seed", f"need an integer, got {seed!r}")
         z = doc.get("z", 1.96)
-        if not isinstance(z, (int, float)) or not z > 0:
-            raise ConfigError("z", f"need a real > 0, got {z!r}")
+        if not is_real(z) or not z > 0:
+            raise ConfigError("z", f"need a finite real > 0, got {z!r}")
         out = doc.get("out")
         if not isinstance(out, str) or not out:
             raise ConfigError("out", "need a non-empty output path")
@@ -478,16 +485,6 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
 
 _EXHAUSTIVE_MAX_N = 7
 
-_CYCLE_FAMILY = frozenset(
-    {
-        MORSE_PENTAGON_EXISTS,
-        MORSE_CYCLE_EXISTS,
-        MORSE_SQUARE_EXISTS,
-        INDUCED_CYCLE_COUNT,
-        MORSE_CYCLE_COUNT,
-    }
-)
-
 
 def _pair_index(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -537,17 +534,14 @@ def _rows_from_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> list
     return rows
 
 
-def exhaustive_small_n_expectation(
-    n: int, p: float, prop: PropertyKind, *, method: str = "auto"
-) -> float:
+def exhaustive_small_n_expectation(n: int, p: float, prop: PropertyKind) -> float:
     """Exact expectation of ``prop`` on G(n, p) by complete enumeration.
 
     Every one of the 2^C(n,2) labeled graphs is weighted by
     p^edges (1-p)^non_edges and the property evaluated exactly; n is capped
     at 7.  Cycle-shaped properties stream through per-placement selection
-    (identical sum, grouped by cycle placement); ``method="direct"`` forces
-    the one-graph-at-a-time evaluation instead, which supports every
-    property and serves as the cross-check of the fast path.
+    (identical sum, grouped by cycle placement); the others are evaluated
+    one graph at a time.
     """
     if n > _EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive enumeration is capped at n={_EXHAUSTIVE_MAX_N}, got {n}")
@@ -555,18 +549,13 @@ def exhaustive_small_n_expectation(
         raise InvalidParameter(f"need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
-    if method not in ("auto", "direct", "candidate"):
-        raise InvalidParameter(f"unknown method {method!r}")
-    if method == "candidate" and prop.name not in _CYCLE_FAMILY:
-        raise InvalidParameter(f"candidate method does not support {prop.tag!r}")
-    if method == "auto":
-        method = "candidate" if prop.name in _CYCLE_FAMILY else "direct"
-    if method == "direct":
-        return _exhaustive_direct(n, p, prop)
-    return _exhaustive_candidates(n, p, prop)
+    if prop.is_count or _morse_range(prop) is not None:
+        return _exhaustive_candidates(n, p, prop)
+    return _exhaustive_direct(n, p, prop)
 
 
 def _exhaustive_direct(n: int, p: float, prop: PropertyKind) -> float:
+    """Sum over every graph of its weight times ``evaluate_property``: any property."""
     masks, weights = _mask_weights(n, p)
     pairs = _pair_index(n)
     total = 0.0
@@ -582,22 +571,17 @@ def _exhaustive_direct(n: int, p: float, prop: PropertyKind) -> float:
 
 
 def _exhaustive_candidates(n: int, p: float, prop: PropertyKind) -> float:
+    """The same sum grouped by cycle placement: cycle counts and Morse-cycle existence only."""
     import numpy as np
 
     masks, weights = _mask_weights(n, p)
     pairs = _pair_index(n)
-    if prop.name == INDUCED_CYCLE_COUNT:
-        ks, morse, counting = [prop.k], False, True
-    elif prop.name == MORSE_CYCLE_COUNT:
-        ks, morse, counting = [prop.k], True, True
-    elif prop.name == MORSE_PENTAGON_EXISTS:
-        ks, morse, counting = [5], True, False
-    elif prop.name == MORSE_SQUARE_EXISTS:
-        ks, morse, counting = [4], True, False
-    elif prop.name == MORSE_CYCLE_EXISTS:
-        ks, morse, counting = list(range(prop.kmin, prop.kmax + 1)), True, False
-    else:  # pragma: no cover - guarded by the dispatcher
-        raise InvalidParameter(f"candidate method does not support {prop.tag!r}")
+    counting = prop.is_count
+    if counting:
+        ks, morse = [prop.k], prop.name == MORSE_CYCLE_COUNT
+    else:
+        kmin, kmax = _morse_range(prop)
+        ks, morse = list(range(kmin, kmax + 1)), True
     total = 0.0
     exists = np.zeros(len(masks), dtype=bool) if not counting else None
     for k in ks:
@@ -634,10 +618,10 @@ def run_oracle_suite(
 
     For a seeded corpus of G(n, p) graphs: the pairwise Morse check against
     the enumerated-squares oracle (on every induced cycle and on random
-    vertex subsets), the Morse-square/isolated-square identity, and the
-    pruned search against the induced cycles the oracle calls Morse.  Also
-    replays the exact small-n expectation identities.  Returns a JSON-ready
-    report.
+    vertex subsets), the isolated-square count of the square-graph arrays
+    against the Morse-square count of the bucket scan, and the pruned search
+    against the induced cycles the oracle calls Morse.  Also replays the
+    exact small-n expectation identities.  Returns a JSON-ready report.
     """
     from .cycles import enumerate_induced_cycles
     from .morse import is_morse_subgraph, morse_oracle
@@ -670,11 +654,7 @@ def run_oracle_suite(
                     report["oracle_disagreements"] += 1
             report["cycles_checked"] += len(cycle_sets)
             report["subsets_checked"] += len(subsets)
-            sq = build_square_graph(g)
-            morse_square_count = count_morse_cycles(g, 4)
-            if isolated_count(sq) != morse_square_count:
-                report["identity_violations"] += 1
-            if (morse_square_count > 0) != (has_isolated_square(g) is not None):
+            if isolated_count(build_square_graph(g)) != count_morse_cycles(g, 4):
                 report["identity_violations"] += 1
             # the oracle's judgement of every induced cycle of length >= kmin,
             # not count_morse_cycles, which runs the search's own engine; the
@@ -686,55 +666,22 @@ def run_oracle_suite(
                 if found != any_morse:
                     report["search_mismatches"] += 1
 
-    checks = [
-        (
-            "pentagon-count-exact",
-            lambda: exhaustive_small_n_expectation(
-                5, 0.5, PropertyKind.parse("morse-cycle-count:5")
-            )
-            == 12 / 1024,
-        ),
-        (
-            "k4-on-complete-graph",
-            lambda: exhaustive_small_n_expectation(
-                4, 1.0, PropertyKind.parse("morse-square-exists")
-            )
-            == 0.0,
-        ),
-        (
-            "empty-density",
-            lambda: exhaustive_small_n_expectation(
-                5, 0.0, PropertyKind.parse("morse-pentagon-exists")
-            )
-            == 0.0,
-        ),
-        (
-            "candidate-vs-direct-count",
-            lambda: abs(
-                exhaustive_small_n_expectation(
-                    5, 0.3, PropertyKind.parse("morse-cycle-count:5"), method="candidate"
-                )
-                - exhaustive_small_n_expectation(
-                    5, 0.3, PropertyKind.parse("morse-cycle-count:5"), method="direct"
-                )
-            )
-            < 1e-12,
-        ),
-        (
-            "candidate-vs-direct-exists",
-            lambda: abs(
-                exhaustive_small_n_expectation(
-                    4, 0.3, PropertyKind.parse("morse-square-exists"), method="candidate"
-                )
-                - exhaustive_small_n_expectation(
-                    4, 0.3, PropertyKind.parse("morse-square-exists"), method="direct"
-                )
-            )
-            < 1e-12,
-        ),
+    exact = [
+        ("pentagon-count-exact", 5, 0.5, "morse-cycle-count:5", 12 / 1024),
+        ("k4-on-complete-graph", 4, 1.0, "morse-square-exists", 0.0),
+        ("empty-density", 5, 0.0, "morse-pentagon-exists", 0.0),
     ]
-    for name, check in checks:
-        if not check():
+    for name, n, p, tag, want in exact:
+        if exhaustive_small_n_expectation(n, p, PropertyKind.parse(tag)) != want:
+            report["exhaustive_failures"].append(name)
+    # the placement-grouped sum against the one-graph-at-a-time sum
+    cross = [
+        ("candidate-vs-direct-count", 5, 0.3, "morse-cycle-count:5"),
+        ("candidate-vs-direct-exists", 4, 0.3, "morse-square-exists"),
+    ]
+    for name, n, p, tag in cross:
+        prop = PropertyKind.parse(tag)
+        if not abs(_exhaustive_candidates(n, p, prop) - _exhaustive_direct(n, p, prop)) < 1e-12:
             report["exhaustive_failures"].append(name)
 
     report["ok"] = (

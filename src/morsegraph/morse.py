@@ -10,25 +10,19 @@ non-adjacent pairs inside S and inspects their common neighborhoods
 directly.  ``morse_oracle`` is a deliberately literal re-implementation
 over a square list of its own, built from Python sets of neighbors, kept
 as an independent cross-check of both this check and the diagonal scans.
-``morse_squares`` finds Morse squares from the diagonal buckets and
-confirms each through the definition.
+A square is Morse exactly when it is an isolated vertex of the square
+graph, so Morse squares are counted by ``squares.isolated_squares``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .cycles import (
-    CycleWitness,
-    _Budget,
-    _diagonal_bucket,
-    _diagonal_candidates,
-    _pruned_engine,
-    as_witness,
-)
+from .cycles import CycleWitness, _Budget, _pruned_engine, as_witness
 from .errors import InvalidParameter
 from .graph import Graph, iter_bits, vertex_mask
+from .squares import isolated_squares
 
 
 def is_morse_subgraph(g: Graph, s: Iterable[int]) -> bool:
@@ -70,28 +64,6 @@ def is_morse_cycle(g: Graph, c: "CycleWitness | Sequence[int]") -> bool:
     return is_morse_subgraph(g, as_witness(g, c).vertices)
 
 
-def morse_squares(g: Graph) -> Iterator[CycleWitness | None]:
-    """Scan ``g`` for Morse squares, one item per candidate diagonal.
-
-    For each candidate diagonal ``(u, w)`` in lexicographic order, yields
-    the Morse square having ``(u, w)`` as its smaller diagonal, or ``None``.
-    A square can be Morse only when the bucket of ``(u, w)`` is a single
-    pair ``(x, y)``; such a square is confirmed with :func:`is_morse_cycle`.
-    Each Morse square appears once, in the order of
-    ``enumerate_induced_squares``; the ``None`` items let a caller meter the
-    scan.
-    """
-    for u, w in _diagonal_candidates(g):
-        bucket = _diagonal_bucket(g, u, w, 2)
-        witness = None
-        if len(bucket) == 1 and (u, w) < bucket[0]:
-            x, y = bucket[0]
-            square = CycleWitness.from_cycle((u, x, w, y))
-            if is_morse_cycle(g, square):
-                witness = square
-        yield witness
-
-
 def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
     """Literal restatement of the Morse condition over all induced squares.
 
@@ -127,15 +99,15 @@ def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
 def count_morse_cycles(g: Graph, k: int, *, budget: int | None = None) -> int:
     """Number of induced k-cycles of ``g`` that are Morse.
 
-    k = 4 counts the :func:`morse_squares` scan; k >= 5 counts through the
-    pruned DFS, which visits exactly the cycles all of whose non-adjacent
-    pairs survive the clique test -- the same set the definition selects --
-    without materializing the others.  For k >= 5 ``budget`` caps the DFS as
+    k = 4 counts the isolated squares (:func:`~morsegraph.squares.isolated_squares`);
+    k >= 5 counts through the pruned DFS, which visits exactly the cycles all
+    of whose non-adjacent pairs survive the clique test -- the same set the
+    definition selects -- without materializing the others.  For k >= 5 ``budget`` caps the DFS as
     in :func:`~morsegraph.cycles.morse_pruned_cycle_search`.
     """
     if k < 4:
         raise InvalidParameter(f"Morse cycles have k >= 4, got k={k}")
     if k == 4:
-        return sum(1 for witness in morse_squares(g) if witness is not None)
+        return sum(1 for _ in isolated_squares(g))
     _, count = _pruned_engine(g, k, k, _Budget(budget), find_first=False)
     return count

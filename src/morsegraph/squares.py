@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .cycles import CycleWitness, _diagonal_bucket, _diagonal_candidates, _ranges, _square_blocks
+from .cycles import _diagonal_bucket, _diagonal_candidates, _ranges, _square_blocks
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
 
@@ -158,23 +159,30 @@ def is_square_graph_connected(sq: SquareGraph) -> bool:
     return len(sq) > 0 and not sq.labels.any()
 
 
-def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:
-    """One isolated square-graph vertex of ``g`` as a canonical 4-tuple, or ``None``.
+def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Every isolated square-graph vertex of ``g`` once, as a canonical 4-tuple.
 
     A square is isolated iff each of its diagonals' buckets holds only the
     other diagonal, so the scan takes each candidate diagonal ``(u, w)``
-    whose bucket is a single pair ``(x, y)`` and tests the bucket of
-    ``(x, y)`` for being exactly ``(u, w)``.  Stops at the first hit.
+    whose bucket is a single pair ``(x, y)`` above it and tests the bucket
+    of ``(x, y)`` for being exactly ``(u, w)``.  A square comes from its
+    smaller diagonal, where ``u < x < y``, so ``(u, x, w, y)`` is canonical;
+    squares come in the order of ``enumerate_induced_squares``.  These are
+    exactly the Morse squares of ``g``.
     """
     for u, w in _diagonal_candidates(g):
         bucket = _diagonal_bucket(g, u, w, 2)
-        if len(bucket) != 1:
+        if len(bucket) != 1 or bucket[0] < (u, w):
             continue
         x, y = bucket[0]
         reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
         if reciprocal_ok:
-            return CycleWitness.from_cycle((u, x, w, y)).vertices
-    return None
+            yield u, x, w, y
+
+
+def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:
+    """The first of :func:`isolated_squares`, or ``None``."""
+    return next(isolated_squares(g), None)
 
 
 def square_graph_edges(sq: SquareGraph) -> np.ndarray:

@@ -237,6 +237,16 @@ def test_pruned_search_stops_below_kmax():
         count_morse_cycles(g, 5, budget=17)
 
 
+def test_search_budget_meters_only_the_dfs():
+    # the isolated-square scan spends no budget; the k >= 5 DFS behind it does
+    square = morse_pruned_cycle_search(cycle_graph(4), 4, 4, budget=0)
+    assert square is not None and square.vertices == (0, 1, 2, 3)
+    g = path_graph(10)  # no square, so kmin = 4 falls through to the DFS
+    assert morse_pruned_cycle_search(g, 4, 5, budget=18) is None
+    with pytest.raises(SearchBudgetExceeded):
+        morse_pruned_cycle_search(g, 4, 5, budget=17)
+
+
 @pytest.mark.parametrize("n, p, seed", [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)])
 def test_bad_bits_match_brute_force(n, p, seed):
     g = sample_gnp(n, p, trial_seed(5150, seed))

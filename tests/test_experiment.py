@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import statistics
@@ -24,6 +25,8 @@ from morsegraph.errors import CapacityExceeded
 from morsegraph.experiment import (
     PropertyKind,
     SweepConfig,
+    _exhaustive_candidates,
+    _exhaustive_direct,
     evaluate_property,
     evaluate_property_with_witness,
     run_oracle_suite,
@@ -223,15 +226,15 @@ def test_exhaustive_c4_count_closed_form():
     "tag", ["morse-cycle-count:5", "morse-cycle-count:4", "induced-cycle-count:4"]
 )
 def test_exhaustive_candidate_equals_direct(tag):
-    fast = exhaustive_small_n_expectation(5, 0.3, P(tag), method="candidate")
-    slow = exhaustive_small_n_expectation(5, 0.3, P(tag), method="direct")
+    fast = _exhaustive_candidates(5, 0.3, P(tag))
+    slow = _exhaustive_direct(5, 0.3, P(tag))
     assert fast == pytest.approx(slow, abs=1e-14)
 
 
 def test_exhaustive_exists_candidate_equals_direct():
     for tag in ("morse-square-exists", "morse-pentagon-exists", "morse-cycle-exists:4:5"):
-        fast = exhaustive_small_n_expectation(5, 0.35, P(tag), method="candidate")
-        slow = exhaustive_small_n_expectation(5, 0.35, P(tag), method="direct")
+        fast = _exhaustive_candidates(5, 0.35, P(tag))
+        slow = _exhaustive_direct(5, 0.35, P(tag))
         assert fast == pytest.approx(slow, abs=1e-14)
 
 
@@ -322,6 +325,8 @@ def test_sweep_config_validation(tmp_path):
     out = str(tmp_path / "t.jsonl")
     good = dict(BASE_CONFIG, out=out)
     SweepConfig.from_mapping(good)
+    with_ps = {k: v for k, v in dict(good, ps=[0.1]).items() if k != "coefficients"}
+    SweepConfig.from_mapping(with_ps)
 
     for field, value in [
         ("trials", 0),
@@ -335,9 +340,17 @@ def test_sweep_config_validation(tmp_path):
         ("properties", []),
         ("properties", ["bogus"]),
         ("out", ""),
+        ("coefficients", [True]),
+        ("coefficients", [float("inf")]),  # json.load reads Infinity
+        ("coefficients", [10**400]),  # beyond float range
+        ("ps", [False]),
+        ("z", True),
+        ("z", float("inf")),
+        ("z", 10**400),
     ]:
+        base = with_ps if field == "ps" else good
         with pytest.raises(ConfigError) as err:
-            SweepConfig.from_mapping(dict(good, **{field: value}))
+            SweepConfig.from_mapping(dict(base, **{field: value}))
         assert err.value.field == field
 
     with pytest.raises(ConfigError):
@@ -379,6 +392,58 @@ def test_sweep_output_and_determinism(tmp_path):
         else:
             assert cell.wilson_lo is not None
             assert cell.wilson_lo <= cell.estimate <= cell.wilson_hi
+
+
+# SHA-256 of the sweep JSONL (each line cut at its elapsed_ms), of the summary
+# CSV, and of the witnesses of the existence tags, recorded when Morse squares
+# still had a scan of their own; answering length 4 from the isolated-square
+# scan must move none of them
+GOLDEN_SWEEP_TAGS = [
+    "morse-pentagon-exists",
+    "morse-cycle-exists:4:8",
+    "morse-square-exists",
+    "square-isolated-exists",
+    "square-graph-connected",
+    "cfs",
+    "induced-cycle-count:4",
+    "morse-cycle-count:4",
+    "morse-cycle-exists:4:4",
+]
+GOLDEN_SWEEP_DIGESTS = {
+    "jsonl": "6149617024f6caf532f797514c62e88e7b788895c270269c659ce6b8310c0fe2",
+    "csv": "dd64ecf86c7c44d5c9df7d22a874a62c30f1baaa99d981d7c651f954084f94fd",
+    "witnesses": "f46ca546ce8872e817b3e2f44126757fad9effe1238e9ca5f17b273ac05ad8c3",
+}
+
+
+def test_sweep_golden(tmp_path):
+    cfg = SweepConfig.from_mapping(
+        {
+            "ns": [14, 40, 150],
+            "coefficients": [0.6, 1.2],
+            "properties": GOLDEN_SWEEP_TAGS,
+            "trials": 5,
+            "seed": 99,
+            "out": str(tmp_path / "golden.jsonl"),
+        }
+    )
+    summary = run_sweep(cfg, workers=1)
+    lines = [line.split(',"elapsed_ms":')[0] for line in open(cfg.out).read().splitlines()]
+    witnesses = []
+    for n in cfg.ns:
+        for point in cfg.density_points(n):
+            for t in range(cfg.trials):
+                g = sample_gnp(n, point.p, trial_seed(cfg.seed, t))
+                for prop in cfg.properties:
+                    if prop.name.endswith("-exists"):
+                        witness = evaluate_property_with_witness(g, prop)[1]
+                        witnesses.append([n, point.p, t, prop.tag, witness])
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    assert {
+        "jsonl": digest("\n".join(lines).encode()),
+        "csv": digest(open(summary.csv_path, "rb").read()),
+        "witnesses": digest(json.dumps(witnesses).encode()),
+    } == GOLDEN_SWEEP_DIGESTS
 
 
 def test_sweep_cross_property_identity(tmp_path):
