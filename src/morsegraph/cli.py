@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep from a JSON config")
     sweep.add_argument("--config", required=True, help="sweep config JSON path")
-    sweep.add_argument("--workers", type=int, default=None, help="worker processes (default: CPUs this process may use)")
+    sweep.add_argument("--workers", type=int, default=None, help="worker processes, >= 1 (default: CPUs this process may use)")
 
     ana = sub.add_parser("analytic", help="closed-form expectations and thresholds")
     ana.add_argument("--n", type=int, required=True)
@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--k", type=int, default=None)
 
     oracle = sub.add_parser("oracle", help="run the cross-validation corpus")
-    oracle.add_argument("--max-n", type=int, default=12)
-    oracle.add_argument("--trials", type=int, default=100, help="random subsets per graph")
+    oracle.add_argument("--max-n", type=int, default=12, help="largest graph size, 5..12")
+    oracle.add_argument("--trials", type=int, default=100, help="random subsets per graph, >= 0")
     oracle.add_argument("--seed", type=int, default=20240801)
 
     return parser

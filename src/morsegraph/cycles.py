@@ -9,16 +9,15 @@ Induced squares come from diagonal buckets: the bucket of a non-adjacent
 pair {u, w} is the set of non-adjacent pairs inside N(u) & N(w), and each
 pair {x, y} in it spans the square u-x-w-y.  Only pairs with at least two
 common neighbors can have a non-empty bucket; ``_candidate_blocks`` yields
-them as index arrays, one block of adjacency rows at a time in
-lexicographic order, filtered by a matrix product over that block.  Two
-kinds of consumer read these blocks.  ``_square_blocks`` lists every square
-of a block at once as a ``(k, 4)`` array: each candidate gathers its
-neighbors from CSR neighbor lists, keeps the common ones, and pairs the
-non-adjacent ones.  ``_diagonal_candidates`` flattens the blocks lazily
-into Python pairs for the isolated-square scan of ``squares``, which stops
-early and reads one bucket at a time through ``_diagonal_bucket``.  A
-square is emitted from its smaller diagonal, which makes its vertex order
-canonical as built.
+them as index arrays in lexicographic order, filtered by a matrix product
+over one block of adjacency rows at a time, in pieces of at most
+``_PAIR_CHUNK`` pairs.  Two kinds of consumer read these pieces.
+``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
+array: each candidate gathers its neighbors from CSR neighbor lists, keeps
+the common ones, and pairs the non-adjacent ones.  The isolated-square scan
+of ``squares`` turns each piece into Python pairs, stops early and reads one
+bucket at a time through ``_diagonal_bucket``.  A square is emitted from its
+smaller diagonal, which makes its vertex order canonical as built.
 
 The pruned search rests on the pair condition (Tran, "On strongly
 quasiconvex subgroups", Geom. Topol. 2019): a cycle of length at least 5 is
@@ -51,7 +50,7 @@ DEFAULT_SEARCH_BUDGET = 10**8
 
 # Matrix entries per row block of the diagonal-candidate filter.
 _BLOCK_CELLS = 2**18
-# Candidate pairs turned into Python ints at a time.
+# Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
 
 
@@ -174,8 +173,8 @@ def count_induced_cycles(g: Graph, k: int) -> int:
 
 def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, as
-    one ``(us, ws)`` pair of index arrays per block of rows, in lexicographic
-    order.
+    ``(us, ws)`` index arrays of at most ``_PAIR_CHUNK`` pairs, in
+    lexicographic order.
 
     These are exactly the pairs that can occur as a diagonal of an induced
     square.  The pair filter is a matrix product taken one block of rows at a
@@ -183,7 +182,9 @@ def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     matrix gives those rows' common-neighbor counts.  The matrix is unpacked
     from the bit rows block by block too, so beyond its 4 bytes per vertex
     pair memory stays bounded by ``_BLOCK_CELLS`` at any n, and a consumer
-    that stops early pays only for the blocks it read.
+    that stops early pays only for the blocks it read.  One that builds from
+    each piece, as ``build_square_graph`` does, checking its cap after every
+    piece, holds one piece's work at a time.
     """
     n = g.n
     packed = _packed_rows(g)
@@ -201,18 +202,8 @@ def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         del counts  # not held beside the pair arrays
         us, ws = np.nonzero(cand)
         us += start
-        yield us, ws
-
-
-def _diagonal_candidates(g: Graph) -> Iterator[tuple[int, int]]:
-    """The pairs of ``_candidate_blocks`` one at a time, in the same order.
-
-    Each block's pairs become Python ints a chunk of ``_PAIR_CHUNK`` at a
-    time, so a consumer that stops early never holds a whole block of them.
-    """
-    for us, ws in _candidate_blocks(g):
         for i in range(0, len(us), _PAIR_CHUNK):
-            yield from zip(us[i : i + _PAIR_CHUNK].tolist(), ws[i : i + _PAIR_CHUNK].tolist())
+            yield us[i : i + _PAIR_CHUNK], ws[i : i + _PAIR_CHUNK]
 
 
 def _packed_rows(g: Graph) -> np.ndarray:
@@ -254,7 +245,7 @@ def _diagonal_bucket(
 
 def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     """Every induced 4-cycle of ``g`` once, as ``(k, 4)`` arrays of rows
-    ``(u, x, w, y)``, one array per block of ``_candidate_blocks``.
+    ``(u, x, w, y)``, one array per piece of ``_candidate_blocks``.
 
     Each candidate diagonal ``(u, w)`` gathers its neighbors above ``u`` from
     CSR neighbor lists and keeps those adjacent to ``w``; every non-adjacent
@@ -299,8 +290,8 @@ Diagonals = tuple[tuple[int, int], tuple[int, int]]
 def enumerate_induced_squares(g: Graph) -> Iterator[tuple[CycleWitness, Diagonals]]:
     """Yield each induced 4-cycle of ``g`` once, with its two diagonals.
 
-    A view over ``_square_blocks``: squares come in its order, one row block
-    of candidate diagonals at a time, as canonical ``(u, x, w, y)`` witnesses
+    A view over ``_square_blocks``: squares come in its order, one piece of
+    candidate diagonals at a time, as canonical ``(u, x, w, y)`` witnesses
     with diagonals ``((u, w), (x, y))``.
     """
     for block in _square_blocks(g):

@@ -20,11 +20,7 @@ from itertools import combinations, permutations
 from typing import Any, Mapping, Sequence
 
 from . import analytic
-from .cycles import (
-    CycleWitness,
-    count_induced_cycles,
-    morse_pruned_cycle_search,
-)
+from .cycles import count_induced_cycles, morse_pruned_cycle_search
 from .errors import (
     CapacityExceeded,
     ConfigError,
@@ -36,7 +32,7 @@ from .errors import (
 )
 from .gnp import DensityPoint, density_from_coefficient, density_from_probability, sample_gnp, trial_seed
 from .graph import Graph, iter_bits
-from .morse import count_morse_cycles, is_morse_cycle
+from .morse import count_morse_cycles, is_morse_subgraph
 from .squares import build_square_graph, has_isolated_square, is_cfs, is_square_graph_connected, isolated_count
 
 # ---------------------------------------------------------------------------
@@ -392,15 +388,18 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
     """Run every cell of ``config``, writing JSONL trials plus a summary CSV.
 
     The summary CSV lands next to the JSONL at ``<out>.summary.csv``.
-    Trials may execute on any number of workers (default: the CPUs this
-    process may use); output order and content are worker-independent.  A cell whose error rate exceeds 1% fails the
-    sweep with ``TrialErrorRateExceeded`` (after all files are written).
+    Trials may execute on any number of workers, at least 1 (default: the
+    CPUs this process may use); output order and content are
+    worker-independent.  A cell whose error rate exceeds 1% fails the sweep
+    with ``TrialErrorRateExceeded`` (after all files are written).
     """
     if workers is None:
         if hasattr(os, "sched_getaffinity"):
             workers = len(os.sched_getaffinity(0))
         else:
             workers = os.cpu_count() or 1
+    if workers < 1:
+        raise InvalidParameter(f"need workers >= 1, got {workers}")
     cells: list[tuple[int, float | None, float, PropertyKind]] = []
     for n in config.ns:
         for point in config.density_points(n):
@@ -525,13 +524,14 @@ def _cycle_candidates(n: int, k: int):
             yield cycle, cyc_bits, all_bits ^ cyc_bits
 
 
-def _rows_from_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+def _graph_from_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
+    """The graph on ``0..n-1`` whose edges are the pairs of ``mask``'s bits."""
     rows = [0] * n
     for b in iter_bits(mask):
         u, v = pairs[b]
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return rows
+    return Graph(n, tuple(rows), mask.bit_count())
 
 
 def exhaustive_small_n_expectation(n: int, p: float, prop: PropertyKind) -> float:
@@ -563,7 +563,7 @@ def _exhaustive_direct(n: int, p: float, prop: PropertyKind) -> float:
         w = weights[mask]
         if w == 0.0:
             continue
-        g = Graph.from_rows(n, _rows_from_mask(n, mask, pairs), validate=False)
+        g = _graph_from_mask(n, mask, pairs)
         value = evaluate_property(g, prop)
         if value:
             total += w * float(value)
@@ -590,13 +590,9 @@ def _exhaustive_candidates(n: int, p: float, prop: PropertyKind) -> float:
         for cycle, cyc_bits, chord_bits in _cycle_candidates(n, k):
             sel = np.flatnonzero(((masks & cyc_bits) == cyc_bits) & ((masks & chord_bits) == 0))
             if morse:
-                keep = []
-                witness = CycleWitness(cycle)
-                for mask in sel:
-                    g = Graph.from_rows(n, _rows_from_mask(n, int(mask), pairs), validate=False)
-                    if is_morse_cycle(g, witness):
-                        keep.append(mask)
-                sel = np.array(keep, dtype=np.int64)
+                # the selection makes ``cycle`` an induced cycle of every graph
+                graphs = (_graph_from_mask(n, int(m), pairs) for m in sel)
+                sel = sel[[is_morse_subgraph(h, cycle) for h in graphs]]
             if counting:
                 total += float(weights[sel].sum())
             else:
@@ -621,12 +617,16 @@ def run_oracle_suite(
     vertex subsets), the isolated-square count of the square-graph arrays
     against the Morse-square count of the bucket scan, and the pruned search
     against the induced cycles the oracle calls Morse.  Also replays the
-    exact small-n expectation identities.  Returns a JSON-ready report.
+    exact small-n expectation identities.  Graphs have n = 5..``max_n``,
+    with ``5 <= max_n <= 12``.  Returns a JSON-ready report.
     """
     from .cycles import enumerate_induced_cycles
-    from .morse import is_morse_subgraph, morse_oracle
+    from .morse import morse_oracle
 
-    max_n = max(5, min(max_n, 12))
+    if not 5 <= max_n <= 12:
+        raise InvalidParameter(f"need 5 <= max_n <= 12, got {max_n}")
+    if subsets_per_graph < 0:
+        raise InvalidParameter(f"need subsets_per_graph >= 0, got {subsets_per_graph}")
     report: dict[str, Any] = {
         "graphs": 0,
         "cycles_checked": 0,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import IO, Iterable, Iterator, TypeAlias, Union
 
-from .errors import EdgeListFormatError, InvalidEdge, InvalidParameter, VertexOutOfRange
+from .errors import EdgeListFormatError, InvalidEdge, VertexOutOfRange
 
 VertexSet: TypeAlias = frozenset[int]
 
@@ -49,30 +49,6 @@ class Graph:
         self.rows = rows
         self.m = m
 
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[int], *, validate: bool = True) -> "Graph":
-        """Build a graph from prebuilt adjacency bitsets.
-
-        With ``validate`` the rows are checked for symmetry, irreflexivity,
-        and width; trusted callers on hot paths may skip the check.
-        """
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise InvalidParameter(f"expected {n} rows, got {len(rows)}")
-        if validate:
-            full = (1 << n) - 1
-            for v, row in enumerate(rows):
-                if row & ~full:
-                    raise VertexOutOfRange(f"row {v} has bits >= n={n}")
-                if (row >> v) & 1:
-                    raise InvalidEdge(f"row {v} contains a self-loop")
-            for v, row in enumerate(rows):
-                for u in iter_bits(row):
-                    if not (rows[u] >> v) & 1:
-                        raise InvalidEdge(f"adjacency not symmetric at ({u}, {v})")
-        m = sum(row.bit_count() for row in rows) // 2
-        return cls(n, rows, m)
-
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
@@ -82,10 +58,6 @@ class Graph:
         self.check_vertex(u)
         self.check_vertex(v)
         return bool((self.rows[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.rows[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as pairs ``(u, v)`` with ``u < v``, lexicographically."""

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cycles import _diagonal_bucket, _diagonal_candidates, _ranges, _square_blocks
+from .cycles import _candidate_blocks, _diagonal_bucket, _ranges, _square_blocks
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
 
@@ -107,7 +107,9 @@ def build_square_graph(g: Graph, *, cap: int = DEFAULT_SQUARE_CAP) -> SquareGrap
     """Collect all induced 4-cycles of ``g`` with their diagonals.
 
     Aborts with ``CapacityExceeded`` once more than ``cap`` squares exist;
-    the structure is never silently truncated.
+    the structure is never silently truncated.  The count is checked after
+    every piece of candidate diagonals, so at most one piece's squares are
+    built past the cap.
     """
     blocks, count = [np.empty((0, 4), dtype=np.intp)], 0
     for block in _square_blocks(g):
@@ -170,14 +172,15 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     squares come in the order of ``enumerate_induced_squares``.  These are
     exactly the Morse squares of ``g``.
     """
-    for u, w in _diagonal_candidates(g):
-        bucket = _diagonal_bucket(g, u, w, 2)
-        if len(bucket) != 1 or bucket[0] < (u, w):
-            continue
-        x, y = bucket[0]
-        reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
-        if reciprocal_ok:
-            yield u, x, w, y
+    for us, ws in _candidate_blocks(g):
+        for u, w in zip(us.tolist(), ws.tolist()):
+            bucket = _diagonal_bucket(g, u, w, 2)
+            if len(bucket) != 1 or bucket[0] < (u, w):
+                continue
+            x, y = bucket[0]
+            reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
+            if reciprocal_ok:
+                yield u, x, w, y
 
 
 def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:

@@ -179,6 +179,37 @@ def test_oracle_command(capsys):
     assert doc["ok"] is True and doc["graphs"] == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--max-n", "20"],
+        ["oracle", "--max-n", "3"],
+        ["oracle", "--max-n", "6", "--trials", "-4"],
+    ],
+)
+def test_oracle_out_of_range_exit_code(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stdout == "" and "error" in stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_nonpositive_workers_exit_code(tmp_path, capsys, workers):
+    config = {
+        "ns": [10],
+        "ps": [0.3],
+        "properties": ["cfs"],
+        "trials": 2,
+        "seed": 8,
+        "out": str(tmp_path / "sweep.jsonl"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(cfg_path), "--workers", workers)
+    assert code == 1
+    assert stdout == "" and "workers" in stderr
+
+
 def test_oracle_failure_exit_code(capsys, monkeypatch):
     import morsegraph.cli as cli
 

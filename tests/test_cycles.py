@@ -23,8 +23,9 @@ from morsegraph import (
 )
 from morsegraph.cycles import (
     _BLOCK_CELLS,
+    _PAIR_CHUNK,
+    _candidate_blocks,
     _diagonal_bucket,
-    _diagonal_candidates,
     _make_bad_bits,
 )
 from helpers import (
@@ -147,8 +148,10 @@ def test_squares_match_cycle_enumeration(seed):
 
 def test_square_prefilter_paths_agree():
     # the row-blocked filter against common neighborhoods from Python sets;
-    # n = 600 spans two row blocks, the second one partial
-    assert 600 > _BLOCK_CELLS // 600 and 600 % (_BLOCK_CELLS // 600)
+    # n = 600 spans two row blocks, the second one partial, and its first
+    # block holds more than one piece of pairs
+    step = _BLOCK_CELLS // 600
+    assert 600 > step and 600 % step
     for n, p in [(1, 0.5), (2, 1.0), (40, 0.2), (150, 0.12), (600, 0.05)]:
         g = sample_gnp(n, p, 8)
         nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
@@ -157,20 +160,25 @@ def test_square_prefilter_paths_agree():
             for u, w in combinations(range(n), 2)
             if w not in nbrs[u] and len(nbrs[u] & nbrs[w]) >= 2
         ]
-        assert list(_diagonal_candidates(g)) == brute
+        pieces = list(_candidate_blocks(g))
+        assert all(len(us) == len(ws) <= _PAIR_CHUNK for us, ws in pieces)
+        assert [pair for us, ws in pieces for pair in zip(us.tolist(), ws.tolist())] == brute
         assert brute or n < 3
+        if n == 600:
+            assert sum(int(us[-1]) < step for us, _ in pieces if len(us)) > 1
 
 
 def test_first_diagonal_candidate_memory():
-    # the first candidate costs the float32 adjacency matrix, 4 bytes per
-    # vertex pair, the packed bit rows and the work of one row block: the
-    # matrix is unpacked block by block and the block's pairs become Python
-    # ints a chunk at a time
+    # the first piece of candidates costs the float32 adjacency matrix, 4
+    # bytes per vertex pair, the packed bit rows and the work of one row
+    # block: the matrix is unpacked block by block and a block's pairs are
+    # yielded a piece of at most _PAIR_CHUNK at a time
     n = 2048
     g = sample_gnp(n, 0.03, 11)
     tracemalloc.start()
     try:
-        next(_diagonal_candidates(g))
+        us, ws = next(_candidate_blocks(g))
+        next(zip(us.tolist(), ws.tolist()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

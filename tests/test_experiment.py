@@ -492,6 +492,22 @@ def test_sweep_fails_on_error_rate(tmp_path, monkeypatch):
     assert all(r["outcome"] is None and r["error"] for r in records)
 
 
+@pytest.mark.parametrize(
+    "max_n,subsets", [(20, 5), (13, 5), (4, 5), (3, 5), (6, -1), (6, -4)]
+)
+def test_oracle_suite_rejects_out_of_range(max_n, subsets):
+    with pytest.raises(InvalidParameter):
+        run_oracle_suite(max_n=max_n, subsets_per_graph=subsets)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_nonpositive_workers(tmp_path, workers):
+    cfg = SweepConfig.from_mapping(dict(BASE_CONFIG, out=str(tmp_path / "w.jsonl")))
+    with pytest.raises(InvalidParameter, match="workers"):
+        run_sweep(cfg, workers=workers)
+    assert not (tmp_path / "w.jsonl").exists()
+
+
 def test_oracle_suite_small():
     report = run_oracle_suite(max_n=6, subsets_per_graph=15, master_seed=5)
     assert report["ok"] is True

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from morsegraph import (
     build_square_graph,
     components,
     count_morse_cycles,
+    density_from_coefficient,
     dump_square_graph,
     has_isolated_square,
     is_cfs,
@@ -117,6 +119,20 @@ def test_capacity_cap():
         assert len(build_square_graph(g, cap=m)) == m
         with pytest.raises(CapacityExceeded, match=rf"^square count exceeded cap \({m - 1}\)$"):
             build_square_graph(g, cap=m - 1)
+
+
+def test_capacity_cap_bounds_memory():
+    # the cap is checked after every piece of candidate diagonals, so a
+    # dense host stops with one piece's squares built, not a row block's
+    g = sample_gnp(400, density_from_coefficient(2.0, 400).p, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded):
+            build_square_graph(g, cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(10))
