@@ -19,13 +19,16 @@ Two implementations of the pipeline agree bit for bit, and tests hold them
 equal: a pure-Python loop (``_sample_rows_python``), the executable spec,
 which ``sample_gnp`` also uses for small graphs; and a numpy sampler
 (``_sample_rows_numpy``) that steps xoshiro256** in parallel lanes, each
-lane seeded by GF(2) jump-ahead to its offset in the single stream.
+lane seeded by GF(2) jump-ahead to its offset in the single stream.  A jump
+is applied through a table of 32 byte lookups XORed together, not a matrix
+product, so sampling makes no BLAS call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 # Below this many pairs the pure-Python loop beats the numpy lanes' fixed
-# cost (~2 ms); measured crossover ~2.6k pairs on 2-core x86-64, numpy 2.4.
+# cost (~1.5 ms); measured crossover 2.2k-2.6k pairs on 2-core x86-64, numpy 2.4.
 _NUMPY_MIN_PAIRS = 2560
 _LANE_CHUNK = 128  # consecutive draws made by each lane
 _LANE_BLOCK = 4096  # lanes stepped together; bounds memory at any n
@@ -79,8 +82,20 @@ class Xoshiro256StarStar:
         return result
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int (numpy integers included); bools and floats are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Sampler seed for one trial of a sweep keyed by a master seed."""
+    master_seed = _integer("master seed", master_seed)
+    trial_index = _integer("trial_index", trial_index)
     if trial_index < 0:
         raise InvalidParameter(f"trial_index must be >= 0, got {trial_index}")
     return (master_seed ^ ((trial_index + 1) * GOLDEN)) & MASK64
@@ -157,54 +172,68 @@ def _xoshiro_step(s):
     return r
 
 
-def _to_bits(states):
-    """``(k, 4)`` uint64 states as ``(k, 256)`` float32 0/1 rows; column 64i + j is bit j of s_i."""
-    raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, bitorder="little").astype(np.float32)
+def _jump_table(images):
+    """Byte table of the GF(2)-linear map taking unit state ``i`` to ``images[i]``.
+
+    ``images`` is ``(256, 4)`` uint64, unit state ``i`` having only bit
+    ``i % 64`` of word ``i // 64`` set.  Entry ``[j, v]`` of the ``(32, 256, 4)``
+    table is the image of the state whose only nonzero byte (little-endian,
+    words in order) is byte ``j``, holding ``v``: the XOR of the images of
+    ``v``'s bits.
+    """
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    images = images.reshape(32, 8, 4)
+    for b in range(8):
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ images[:, b, None]
+    return table
 
 
-def _from_bits(bits):
-    return np.packbits(bits != 0, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+_BYTE_ROWS = np.arange(0, 32 * 256, 256)[:, None]  # first row of byte j in a flat table
+_UNIT_BYTES = 1 << np.arange(8)  # byte values of the unit states
 
 
-def _mul_mod2(a, b):
-    # 0/1 float32 operands: every entry of a @ b is an integer <= 256, hence exact
-    return ((a @ b).astype(np.int32) & 1).astype(np.float32)
+def _jump(states, table):
+    """Apply a byte table to ``(k, 4)`` uint64 states: the XOR of one entry per state byte."""
+    rows = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T + _BYTE_ROWS
+    return np.bitwise_xor.reduce(np.take(table.reshape(-1, 4), rows, axis=0), axis=0)
+
+
+def _square(table):
+    return _jump_table(_jump(table[:, _UNIT_BYTES].reshape(256, 4), table))
 
 
 @functools.cache
-def _lane_jumps() -> tuple:
-    """GF(2) jumps: ``bits(state) @ J[k]`` is the state ``_LANE_CHUNK * 2**k`` draws on.
+def _lane_jump(k: int):
+    """Byte table of the jump ``_LANE_CHUNK * 2**k`` draws ahead (see ``_jump_table``).
 
-    The xoshiro256** update is linear over GF(2), so its matrix has as row
-    ``i`` the stepped ``i``-th unit state; jumps are its powers by squaring.
+    The xoshiro256** update is linear over GF(2), so the images of the 256
+    unit states after one step define it; jumps are its powers by squaring.
+    Levels are built on first use, so a call pays only for the lanes it seeds.
     """
-    unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
-    s = unit.T.astype(np.uint64)
-    _xoshiro_step(s)
-    jump = _to_bits(s.T)
-    for _ in range(_LANE_CHUNK.bit_length() - 1):
-        jump = _mul_mod2(jump, jump)
-    jumps = [jump]
-    while len(jumps) < _LANE_BLOCK.bit_length() - 1:
-        jumps.append(_mul_mod2(jumps[-1], jumps[-1]))
-    for jump in jumps:  # cached and shared by every caller
-        jump.flags.writeable = False
-    return tuple(jumps)
+    if k:
+        table = _square(_lane_jump(k - 1))
+    else:
+        unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
+        s = unit.T.astype(np.uint64)
+        _xoshiro_step(s)
+        table = _jump_table(s.T)
+        for _ in range(_LANE_CHUNK.bit_length() - 1):
+            table = _square(table)
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
 
 
 def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     """``_sample_rows_python`` with xoshiro256** stepped in parallel lanes.
 
     Lane ``i`` starts at draw ``i * _LANE_CHUNK`` (seeded by GF(2) jump-ahead,
-    doubling the lane count per matrix product) and makes the next
+    doubling the lane count per byte-table jump) and makes the next
     ``_LANE_CHUNK`` draws, so the draws read lane by lane are the single
     stream, i.e. the lexicographic pairs.  Lanes run ``_LANE_BLOCK`` at a
     time; each block starts where the previous block's last lane stopped.
     """
     pairs = n * (n - 1) // 2
     lanes_total = -(-pairs // _LANE_CHUNK)
-    jumps = _lane_jumps()
     thr = np.uint64(threshold)
     # stream offset of pair (u, u + 1): row u's pairs are contiguous from there
     first = np.arange(n, dtype=np.int64)
@@ -214,12 +243,9 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     state = np.array([splitmix64_stream(seed, 4)], dtype=np.uint64)
     for lane0 in range(0, lanes_total, _LANE_BLOCK):
         count = min(_LANE_BLOCK, lanes_total - lane0)
-        bits = _to_bits(state)
-        for jump in jumps:
-            if len(bits) >= count:
-                break
-            bits = np.concatenate([bits, _mul_mod2(bits[: count - len(bits)], jump)])
-        s = _from_bits(bits).T.copy()
+        for level in range((count - 1).bit_length()):
+            state = np.concatenate([state, _jump(state[: count - len(state)], _lane_jump(level))])
+        s = state.T.copy()
         hits = np.empty((_LANE_CHUNK, count), dtype=bool)
         for j in range(_LANE_CHUNK):
             np.less(_xoshiro_step(s), thr, out=hits[j])
@@ -242,6 +268,8 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     Identical inputs produce bit-identical graphs regardless of sampling
     path, process, or call history.
     """
+    n = _integer("vertex count", n)
+    seed = _integer("seed", seed)
     if n < 0:
         raise InvalidParameter(f"vertex count must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:

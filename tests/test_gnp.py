@@ -1,6 +1,8 @@
 import itertools
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from morsegraph import (
@@ -17,6 +19,8 @@ from morsegraph.gnp import (
     _LANE_BLOCK,
     _LANE_CHUNK,
     _NUMPY_MIN_PAIRS,
+    _jump,
+    _lane_jump,
     _sample_rows_numpy,
     _sample_rows_python,
     _threshold_u64,
@@ -73,6 +77,45 @@ def test_trial_seed_formula():
         trial_seed(0, -1)
 
 
+NUMPY_INTEGER_CALLS = [  # numpy integers stand for the Python ints they hold
+    (sample_gnp, (300, 0.3, np.int64(5)), (300, 0.3, 5)),
+    (sample_gnp, (300, 0.3, np.uint64(5)), (300, 0.3, 5)),
+    (sample_gnp, (40, 0.3, np.uint64(MASK64)), (40, 0.3, MASK64)),
+    (sample_gnp, (np.int32(300), 0.3, 5), (300, 0.3, 5)),
+    (trial_seed, (np.int64(3), 1), (3, 1)),
+    (trial_seed, (np.uint64(MASK64), np.int64(7)), (MASK64, 7)),
+]
+NON_INTEGER_CALLS = [
+    (sample_gnp, (10, 0.5, 1.5)),
+    (sample_gnp, (10.0, 0.5, 1)),
+    (sample_gnp, (np.float64(10), 0.5, 1)),
+    (sample_gnp, (True, 0.5, 1)),
+    (sample_gnp, (10, 0.5, False)),
+    (sample_gnp, (10, 0.5, np.True_)),
+    (trial_seed, (1.0, 0)),
+    (trial_seed, (0, 1.0)),
+    (trial_seed, (True, 0)),
+    (trial_seed, (0, True)),
+]
+
+
+def _call_id(value):
+    return getattr(value, "__name__", None) or repr(value)
+
+
+@pytest.mark.parametrize("fn, args, plain", NUMPY_INTEGER_CALLS, ids=_call_id)
+def test_numpy_integer_arguments(fn, args, plain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no wrapping numpy scalar arithmetic
+        assert fn(*args) == fn(*plain)
+
+
+@pytest.mark.parametrize("fn, args", NON_INTEGER_CALLS, ids=_call_id)
+def test_non_integer_arguments_rejected(fn, args):
+    with pytest.raises(InvalidParameter):
+        fn(*args)
+
+
 def test_sample_edge_cases():
     assert sample_gnp(50, 0.0, 1).m == 0
     g = sample_gnp(50, 1.0, 1)
@@ -107,9 +150,28 @@ def test_kernel_and_python_paths_agree():
         n = _first_n(lambda pairs: pairs > _LANE_CHUNK and pairs % _LANE_CHUNK == rem)
         cases.append((n, 0.45, rem))
     cases.append((_first_n(lambda pairs: pairs > _LANE_BLOCK * _LANE_CHUNK, 1000), 0.02, 3))
+    # three blocks, the last holding few lanes (n = 1449: 4 lanes, the last
+    # one part full); no n below 4000 leaves exactly one lane in a last block
+    cases.append((_first_n(lambda pairs: pairs > 2 * _LANE_BLOCK * _LANE_CHUNK, 1400), 0.05, 4))
     for n, p, seed in cases:
         threshold = _threshold_u64(p)
         assert _sample_rows_numpy(n, threshold, seed) == _sample_rows_python(n, threshold, seed)
+
+
+def test_lane_jumps_match_spec_generator():
+    # applying level k's table advances a state _LANE_CHUNK * 2**k draws
+    for seed in (0, 1, 2**64 - 1):
+        for k in range(3):
+            gen = Xoshiro256StarStar(seed)
+            state = np.array([[gen.s0, gen.s1, gen.s2, gen.s3]], dtype=np.uint64)
+            for _ in range(_LANE_CHUNK << k):
+                gen.next_u64()
+            assert _jump(state, _lane_jump(k)).tolist() == [[gen.s0, gen.s1, gen.s2, gen.s3]]
+    for k in range((_LANE_BLOCK - 1).bit_length()):
+        table = _lane_jump(k)
+        assert table.shape == (32, 256, 4) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
 
 
 def test_sample_backend_boundary_consistency():
