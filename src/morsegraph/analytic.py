@@ -83,6 +83,32 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _first_moment(n: int, p: float, k: int, orders: float, pairs: int) -> float:
+    """C(n,k) * orders * p^k (1-p)^pairs * (1 - pairs p^2)^(n-k), in log space.
+
+    A k-set carries ``orders`` induced k-cycles, each with k edges and
+    ``pairs`` non-adjacent vertex pairs; the trailing factor is the
+    probability, to second order in p, that no outside vertex is a common
+    neighbor of one of those pairs.  Requires pairs * p^2 < 1.
+    """
+    if n < k:
+        raise InvalidParameter(f"need n >= {k}, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
+    if pairs * p * p >= 1.0:
+        raise OutOfDomain(f"formula needs {pairs}*p^2 < 1, got p={p}")
+    if p == 0.0:
+        return 0.0
+    log_mu = (
+        _log_comb(n, k)
+        + math.log(orders)
+        + k * math.log(p)
+        + pairs * math.log1p(-p)
+        + (n - k) * math.log1p(-pairs * p * p)
+    )
+    return math.exp(log_mu)
+
+
 def expected_morse_pentagons(n: int, p: float) -> float:
     """First-moment value C(n,5) * 12 * p^5 (1-p)^5 * (1 - 5 p^2)^(n-5).
 
@@ -93,22 +119,7 @@ def expected_morse_pentagons(n: int, p: float) -> float:
     expectation; empirical means sit a bounded factor above it at sweep
     scales.  Requires 5 p^2 < 1.
     """
-    if n < 5:
-        raise InvalidParameter(f"need n >= 5, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
-    if 5.0 * p * p >= 1.0:
-        raise OutOfDomain(f"formula needs 5*p^2 < 1, got p={p}")
-    if p == 0.0:
-        return 0.0
-    log_mu = (
-        _log_comb(n, 5)
-        + math.log(12.0)
-        + 5.0 * math.log(p)
-        + 5.0 * math.log1p(-p)
-        + (n - 5) * math.log1p(-5.0 * p * p)
-    )
-    return math.exp(log_mu)
+    return _first_moment(n, p, 5, 12.0, 5)
 
 
 def expected_morse_squares(n: int, p: float) -> float:
@@ -119,22 +130,7 @@ def expected_morse_squares(n: int, p: float) -> float:
     1 - 2 p^2, consistent with the count decaying like (np)^4 e^(-2 p^2 n).
     Requires 2 p^2 < 1.
     """
-    if n < 4:
-        raise InvalidParameter(f"need n >= 4, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
-    if 2.0 * p * p >= 1.0:
-        raise OutOfDomain(f"formula needs 2*p^2 < 1, got p={p}")
-    if p == 0.0:
-        return 0.0
-    log_mu = (
-        _log_comb(n, 4)
-        + math.log(3.0)
-        + 4.0 * math.log(p)
-        + 2.0 * math.log1p(-p)
-        + (n - 4) * math.log1p(-2.0 * p * p)
-    )
-    return math.exp(log_mu)
+    return _first_moment(n, p, 4, 3.0, 2)
 
 
 def clique_link_probability(n: int, k: int, p: float) -> float:

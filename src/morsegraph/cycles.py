@@ -1,4 +1,4 @@
-"""Induced-cycle enumeration and a clique-pruned search for Morse cycles.
+"""Induced-cycle enumeration and one stream of the Morse cycles.
 
 Enumeration is a DFS over induced paths anchored at each cycle's minimum
 vertex, extending only to vertices greater than the anchor; together with
@@ -19,21 +19,24 @@ of ``squares`` turns each piece into Python pairs, stops early and reads one
 bucket at a time through ``_diagonal_bucket``.  A square is emitted from its
 smaller diagonal, which makes its vertex order canonical as built.
 
-The pruned search rests on the pair condition (Tran, "On strongly
-quasiconvex subgroups", Geom. Topol. 2019): a cycle of length at least 5 is
-Morse exactly when every pair of its vertices that is non-adjacent in the
-host has a clique as common neighborhood (an empty bucket).  The test does
-not depend on the rest of the cycle, so its answers are kept in per-vertex
-bitsets -- ``known[u]``, the vertices tested against ``u``, and ``bad[u]``,
-those that failed -- filled lazily, only for the bits a query asks for.
-When a vertex is pushed onto the path, the candidates that would extend or
-close it are masked once against each middle path vertex (and extending
-candidates against the anchor), so popping a candidate costs one bit test
-and a failed pair cuts every branch through it.  A path of L vertices
-closes an (L + 1)-cycle, so paths stop growing at kmax - 1 vertices.  A
-square is Morse exactly when it is an isolated vertex of the square graph,
-both of its diagonal buckets holding only the other diagonal; length 4 is
-answered by the isolated-square scan, ``squares.has_isolated_square``.
+``_morse_cycles`` yields every Morse cycle in a length range once; the
+Morse search takes its first cycle and ``morse.count_morse_cycles`` counts
+them.  A square is Morse exactly when it is an isolated vertex of the
+square graph, both of its diagonal buckets holding only the other diagonal,
+so length 4 comes from the isolated-square scan,
+``squares.isolated_squares``.  Lengths >= 5 come from a pruned DFS resting
+on the pair condition (Tran, "On strongly quasiconvex subgroups",
+Geom. Topol. 2019): a cycle of length at least 5 is Morse exactly when
+every pair of its vertices that is non-adjacent in the host has a clique
+as common neighborhood (an empty bucket).  The test does not depend on the
+rest of the cycle, so its answers are kept in per-vertex bitsets --
+``known[u]``, the vertices tested against ``u``, and ``bad[u]``, those that
+failed -- filled lazily, only for the bits a query asks for.  When a vertex
+is pushed onto the path, the candidates that would extend or close it are
+masked once against each middle path vertex (and extending candidates
+against the anchor), so popping a candidate costs one bit test and a failed
+pair cuts every branch through it.  A path of L vertices closes an
+(L + 1)-cycle, so paths stop growing at kmax - 1 vertices.
 """
 
 from __future__ import annotations
@@ -300,23 +303,8 @@ def enumerate_induced_squares(g: Graph) -> Iterator[tuple[CycleWitness, Diagonal
 
 
 # ---------------------------------------------------------------------------
-# Morse-pruned cycle search
+# The Morse-cycle stream: isolated squares, then the Morse-pruned DFS
 # ---------------------------------------------------------------------------
-
-
-class _Budget:
-    __slots__ = ("remaining", "limit")
-
-    def __init__(self, limit: int | None):
-        self.limit = DEFAULT_SEARCH_BUDGET if limit is None else limit
-        self.remaining = self.limit
-
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise SearchBudgetExceeded(
-                f"search exceeded its node-expansion budget of {self.limit}"
-            )
 
 
 def _make_bad_bits(g: Graph):
@@ -350,14 +338,39 @@ def _make_bad_bits(g: Graph):
     return bad_bits
 
 
-def _pruned_engine(
-    g: Graph, kmin: int, kmax: int, budget: _Budget, find_first: bool
-) -> tuple[CycleWitness | None, int]:
-    """Shared engine: search or count Morse cycles with k in [kmin, kmax], kmin >= 5."""
+def _morse_cycles(
+    g: Graph, kmin: int, kmax: int, budget: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield each Morse cycle with ``4 <= kmin <= k <= kmax`` once, as a
+    canonical vertex tuple: the isolated squares first when ``kmin = 4``,
+    then the pruned DFS's cycles of length >= 5.
+
+    The budget (default ``DEFAULT_SEARCH_BUDGET``) meters only the DFS, and
+    exceeding it raises ``SearchBudgetExceeded``.  One unit is one popped
+    candidate (a vertex that would extend the path, passing the pair test
+    or not) or one closing candidate (a vertex that would close a cycle of
+    admissible length, reflected orientations included).  A cycle's closing
+    candidates up to and including it are paid before it is yielded, so a
+    consumer that stops there pays exactly what it took to reach it.
+    """
+    from .squares import isolated_squares
+
+    if kmin == 4:
+        yield from isolated_squares(g)
+        kmin = 5
+    if kmin > kmax:
+        return
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    spent = 0
+
+    def spend(amount: int) -> None:
+        nonlocal spent
+        spent += amount
+        if spent > limit:
+            raise SearchBudgetExceeded(f"search exceeded its node-expansion budget of {limit}")
+
     n, rows = g.n, g.rows
     bad_bits = _make_bad_bits(g)
-    spend = budget.spend
-    count = 0
     for a in range(n - kmin + 1):
         ra = rows[a]
         high = -1 << (a + 1)
@@ -406,50 +419,32 @@ def _pruned_engine(
             if keep & cand:
                 keep &= ~bad_bits(a, keep & cand)
             hits = above & keep
-            if hits and find_first:
+            while hits:
                 z = hits & -hits
+                hits ^= z
                 spend((closures & ((z << 1) - 1)).bit_count())
-                return CycleWitness(tuple(path) + (z.bit_length() - 1,)), count + 1
+                closures &= -(z << 1)
+                yield (*path, z.bit_length() - 1)
             spend(closures.bit_count())
-            count += hits.bit_count()
             todo.append(cand)
             keeps.append(keep)
-    return None, count
 
 
 def morse_pruned_cycle_search(
     g: Graph, kmin: int, kmax: int, *, budget: int | None = None
 ) -> CycleWitness | None:
-    """Return some Morse k-cycle with ``kmin <= k <= kmax``, or ``None``.
-
-    Decides existence without full enumeration.  For ``kmin = 4`` the first
-    isolated square (``squares.has_isolated_square``) is returned if there
-    is one; otherwise a DFS over k >= 5 cuts every branch whose partial path
-    already contains a disqualified pair (sound for k >= 5 because the
-    disqualification is cycle-independent).
-
-    A node-expansion budget (default ``10**8``) guards pathological inputs;
-    exhausting it raises ``SearchBudgetExceeded`` rather than answering.
-    The budget meters only the DFS: the square scan is bounded by its
-    candidate pairs, at most two bucket reads of at most two pairs each.
-    One unit is one popped candidate (a vertex that would extend the path,
-    whether or not it passes the pair test) or one closing candidate (a
-    vertex that would close a cycle of admissible length, including the
-    reflected orientations that are skipped).  Paths never grow past
-    kmax - 1 vertices, the longest that can still close a cycle.
+    """The first cycle of ``_morse_cycles``, a Morse k-cycle with
+    ``kmin <= k <= kmax``, or ``None``; decides existence without listing the
+    rest.  Exhausting ``budget`` (default ``10**8`` DFS units) raises
+    ``SearchBudgetExceeded`` rather than answering.
     """
     from .morse import is_morse_cycle
-    from .squares import has_isolated_square
 
     if kmin < 4:
         raise InvalidParameter(f"kmin must be >= 4, got {kmin}")
     if kmin > kmax:
         raise InvalidParameter(f"need kmin <= kmax, got [{kmin}, {kmax}]")
-    witness = None
-    if kmin == 4 and (square := has_isolated_square(g)) is not None:
-        witness = CycleWitness(square)
-    elif max(kmin, 5) <= kmax:
-        witness, _ = _pruned_engine(g, max(kmin, 5), kmax, _Budget(budget), find_first=True)
+    witness = next(map(CycleWitness, _morse_cycles(g, kmin, kmax, budget)), None)
     if witness is not None:
         assert is_morse_cycle(g, witness)
     return witness

@@ -657,7 +657,7 @@ def run_oracle_suite(
             if isolated_count(build_square_graph(g)) != count_morse_cycles(g, 4):
                 report["identity_violations"] += 1
             # the oracle's judgement of every induced cycle of length >= kmin,
-            # not count_morse_cycles, which runs the search's own engine; the
+            # not count_morse_cycles, which reads the search's own stream; the
             # kmin = 4 search returns at the first Morse square, so only the
             # kmin = 5 search reaches the DFS on every graph
             for kmin in (4, 5):

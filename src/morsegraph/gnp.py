@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +94,17 @@ def _integer(name: str, value) -> int:
     raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value, high: float) -> float:
+    """``value`` as a float in [0, high] (numpy reals included, bools rejected)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if 0.0 <= (x := float(value)) <= high:
+                return x
+        except OverflowError:  # an int past the float range
+            pass
+    raise InvalidParameter(f"{name} must be a real number in [0, {high:g}], got {value!r}")
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Sampler seed for one trial of a sweep keyed by a master seed."""
     master_seed = _integer("master seed", master_seed)
@@ -115,19 +128,20 @@ def density_from_coefficient(c: float, n: int) -> DensityPoint:
 
     Degenerate small-``n`` grid points clamp to 1 rather than failing.
     """
+    n = _integer("vertex count", n)
     if n < 2:
         raise InvalidParameter(f"need n >= 2 for a density schedule, got n={n}")
-    if not c >= 0:
-        raise InvalidParameter(f"coefficient must be >= 0, got {c}")
+    c = _real("coefficient", c, sys.float_info.max)
     p = min(1.0, c * math.sqrt(math.log(n) / n))
-    return DensityPoint(n=n, c=float(c), p=p)
+    return DensityPoint(n=n, c=c, p=p)
 
 
 def density_from_probability(p: float, n: int) -> DensityPoint:
     """Wrap an explicit edge probability as a density point (no coefficient)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"edge probability must be in [0, 1], got {p}")
-    return DensityPoint(n=n, c=None, p=float(p))
+    n = _integer("vertex count", n)
+    if n < 0:
+        raise InvalidParameter(f"vertex count must be >= 0, got {n}")
+    return DensityPoint(n=n, c=None, p=_real("edge probability", p, 1.0))
 
 
 def _threshold_u64(p: float) -> int:
@@ -272,8 +286,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     seed = _integer("seed", seed)
     if n < 0:
         raise InvalidParameter(f"vertex count must be >= 0, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"edge probability must be in [0, 1], got {p}")
+    p = _real("edge probability", p, 1.0)
     if n <= 1 or p == 0.0:
         return Graph(n, (0,) * n, 0)
     if p == 1.0:

@@ -17,8 +17,6 @@ from .errors import EdgeListFormatError, InvalidEdge, VertexOutOfRange
 
 VertexSet: TypeAlias = frozenset[int]
 
-WORD_BITS = 64
-
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""

@@ -11,7 +11,8 @@ directly.  ``morse_oracle`` is a deliberately literal re-implementation
 over a square list of its own, built from Python sets of neighbors, kept
 as an independent cross-check of both this check and the diagonal scans.
 A square is Morse exactly when it is an isolated vertex of the square
-graph, so Morse squares are counted by ``squares.isolated_squares``.
+graph.  Morse cycles of every length are counted from the one stream that
+also answers the search, ``cycles._morse_cycles``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .cycles import CycleWitness, _Budget, _pruned_engine, as_witness
+from .cycles import CycleWitness, _morse_cycles, as_witness
 from .errors import InvalidParameter
 from .graph import Graph, iter_bits, vertex_mask
-from .squares import isolated_squares
 
 
 def is_morse_subgraph(g: Graph, s: Iterable[int]) -> bool:
@@ -97,17 +97,10 @@ def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
 
 
 def count_morse_cycles(g: Graph, k: int, *, budget: int | None = None) -> int:
-    """Number of induced k-cycles of ``g`` that are Morse.
-
-    k = 4 counts the isolated squares (:func:`~morsegraph.squares.isolated_squares`);
-    k >= 5 counts through the pruned DFS, which visits exactly the cycles all
-    of whose non-adjacent pairs survive the clique test -- the same set the
-    definition selects -- without materializing the others.  For k >= 5 ``budget`` caps the DFS as
-    in :func:`~morsegraph.cycles.morse_pruned_cycle_search`.
+    """Number of induced k-cycles of ``g`` that are Morse: the k-cycles of
+    :func:`~morsegraph.cycles._morse_cycles`, the stream behind the Morse
+    search, whose ``budget`` meters the DFS for k >= 5.
     """
     if k < 4:
         raise InvalidParameter(f"Morse cycles have k >= 4, got k={k}")
-    if k == 4:
-        return sum(1 for _ in isolated_squares(g))
-    _, count = _pruned_engine(g, k, k, _Budget(budget), find_first=False)
-    return count
+    return sum(1 for _ in _morse_cycles(g, k, k, budget))

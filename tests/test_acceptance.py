@@ -11,6 +11,7 @@ import math
 import random
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -240,7 +241,7 @@ def test_criterion_09_sweep_determinism(tmp_path):
     def stripped(path):
         return [
             line.rsplit(',"elapsed_ms":', 1)[0]
-            for line in open(path, "rb").read().decode("ascii").splitlines()
+            for line in Path(path).read_bytes().decode("ascii").splitlines()
         ]
 
     lines_one = stripped(cfg_one.out)

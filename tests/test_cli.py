@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -166,7 +167,7 @@ def test_sweep_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert len(doc["cells"]) == 2
-    assert len(open(config["out"]).read().splitlines()) == 10
+    assert len(Path(config["out"]).read_text().splitlines()) == 10
     assert (tmp_path / "sweep.jsonl.summary.csv").exists()
 
 
@@ -226,3 +227,12 @@ def test_gen_domain_error_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "x.edges"),
     )
     assert code == 1 and "error" in stderr
+
+
+def test_gen_infinite_coefficient_exit_code(tmp_path, capsys):
+    out = tmp_path / "x.edges"
+    code, stdout, stderr = run_cli(
+        capsys, "gen", "--n", "10", "--c", "inf", "--seed", "1", "--out", str(out)
+    )
+    assert code == 1 and stdout == "" and "error" in stderr
+    assert not out.exists()

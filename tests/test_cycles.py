@@ -27,6 +27,7 @@ from morsegraph.cycles import (
     _candidate_blocks,
     _diagonal_bucket,
     _make_bad_bits,
+    _morse_cycles,
 )
 from helpers import (
     brute_induced_cycles,
@@ -222,7 +223,7 @@ def test_pruned_search_parameter_validation():
 @pytest.mark.parametrize("seed", range(10))
 def test_pruned_search_matches_definitional_counts(seed):
     # the expected side filters every induced cycle through the literal
-    # oracle; count_morse_cycles would run the search's own engine for k >= 5
+    # oracle; count_morse_cycles would read the search's own stream
     g = sample_gnp(12, 0.35, trial_seed(999, seed))
 
     def oracle_count(k):
@@ -234,6 +235,30 @@ def test_pruned_search_matches_definitional_counts(seed):
     found5 = morse_pruned_cycle_search(g, 5, 12) is not None
     expected5 = any(oracle_count(k) > 0 for k in range(5, 13))
     assert found5 == expected5
+
+
+@pytest.mark.parametrize("kmin, kmax", [(4, 12), (5, 12), (5, 5), (6, 8)])
+def test_morse_cycle_stream_yields_each_cycle_once(kmin, kmax):
+    # expected: every induced cycle in range that the literal oracle accepts
+    # the first graph's path 0-1-2-3 closes two Morse pentagons, via 4 and 5
+    graphs = [build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 5), (5, 0), (4, 5)])]
+    graphs += [sample_gnp(12, (0.25, 0.3, 0.35)[t % 3], trial_seed(4242, t)) for t in range(36)]
+    total = 0
+    for g in graphs:
+        expected = {
+            w.vertices
+            for k in range(kmin, kmax + 1)
+            for w in enumerate_induced_cycles(g, k)
+            if morse_oracle(g, w.vertices)
+        }
+        got = list(_morse_cycles(g, kmin, kmax))
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        assert all(CycleWitness(c).vertices == c for c in got)
+        lengths = [len(c) for c in got]
+        assert lengths == sorted(lengths, key=lambda k: k > 4)  # squares first
+        total += len(got)
+    assert total  # some graph has a Morse cycle in range
 
 
 def test_pruned_search_stops_below_kmax():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -371,14 +372,14 @@ def test_sweep_output_and_determinism(tmp_path):
     summary_b = run_sweep(cfg_b, workers=3)
 
     strip = lambda path: [
-        line.rsplit(',"elapsed_ms":', 1)[0] for line in open(path).read().splitlines()
+        line.rsplit(',"elapsed_ms":', 1)[0] for line in Path(path).read_text().splitlines()
     ]
     assert strip(cfg_a.out) == strip(cfg_b.out)
     assert len(strip(cfg_a.out)) == 2 * 1 * 3 * 6
 
     # summary CSV is timing-free and must match byte for byte
-    csv_a = open(summary_a.csv_path).read()
-    csv_b = open(summary_b.csv_path).read()
+    csv_a = Path(summary_a.csv_path).read_text()
+    csv_b = Path(summary_b.csv_path).read_text()
     assert csv_a.splitlines()[0] == (
         "n,c,p,property,trials,successes_or_mean,estimate,"
         "wilson_lo,wilson_hi,analytic_ref"
@@ -428,7 +429,7 @@ def test_sweep_golden(tmp_path):
         }
     )
     summary = run_sweep(cfg, workers=1)
-    lines = [line.split(',"elapsed_ms":')[0] for line in open(cfg.out).read().splitlines()]
+    lines = [line.split(',"elapsed_ms":')[0] for line in Path(cfg.out).read_text().splitlines()]
     witnesses = []
     for n in cfg.ns:
         for point in cfg.density_points(n):
@@ -441,7 +442,7 @@ def test_sweep_golden(tmp_path):
     digest = lambda data: hashlib.sha256(data).hexdigest()
     assert {
         "jsonl": digest("\n".join(lines).encode()),
-        "csv": digest(open(summary.csv_path, "rb").read()),
+        "csv": digest(Path(summary.csv_path).read_bytes()),
         "witnesses": digest(json.dumps(witnesses).encode()),
     } == GOLDEN_SWEEP_DIGESTS
 
@@ -459,7 +460,7 @@ def test_sweep_cross_property_identity(tmp_path):
         }
     )
     run_sweep(cfg, workers=2)
-    records = [json.loads(line) for line in open(cfg.out)]
+    records = [json.loads(line) for line in Path(cfg.out).read_text().splitlines()]
     assert all(record["c"] is None for record in records)  # explicit-p sweep
     by_property = {}
     for record in records:
@@ -487,7 +488,7 @@ def test_sweep_fails_on_error_rate(tmp_path, monkeypatch):
     with pytest.raises(TrialErrorRateExceeded):
         run_sweep(cfg, workers=1)
     # the JSONL still records every trial, tagged with the error
-    records = [json.loads(line) for line in open(cfg.out)]
+    records = [json.loads(line) for line in Path(cfg.out).read_text().splitlines()]
     assert len(records) == 4
     assert all(r["outcome"] is None and r["error"] for r in records)
 

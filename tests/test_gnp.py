@@ -50,6 +50,10 @@ def test_density_parameter_validation():
         density_from_coefficient(-0.1, 100)
     with pytest.raises(InvalidParameter):
         density_from_probability(1.5, 10)
+    with pytest.raises(InvalidParameter):
+        density_from_probability(0.5, -3)
+    with pytest.raises(InvalidParameter):
+        density_from_coefficient(2**1024, 100)  # past the float range
 
 
 def test_splitmix64_reference_vector():
@@ -77,15 +81,19 @@ def test_trial_seed_formula():
         trial_seed(0, -1)
 
 
-NUMPY_INTEGER_CALLS = [  # numpy integers stand for the Python ints they hold
+NUMPY_INTEGER_CALLS = [  # numpy numbers stand for the Python numbers they hold
     (sample_gnp, (300, 0.3, np.int64(5)), (300, 0.3, 5)),
     (sample_gnp, (300, 0.3, np.uint64(5)), (300, 0.3, 5)),
     (sample_gnp, (40, 0.3, np.uint64(MASK64)), (40, 0.3, MASK64)),
     (sample_gnp, (np.int32(300), 0.3, 5), (300, 0.3, 5)),
     (trial_seed, (np.int64(3), 1), (3, 1)),
     (trial_seed, (np.uint64(MASK64), np.int64(7)), (MASK64, 7)),
+    (sample_gnp, (300, np.float64(0.3), 5), (300, 0.3, 5)),
+    (density_from_coefficient, (np.float32(0.5), np.int64(100)), (0.5, 100)),
+    (density_from_probability, (np.float64(0.25), np.int32(10)), (0.25, 10)),
+    (density_from_probability, (1, 10), (1.0, 10)),
 ]
-NON_INTEGER_CALLS = [
+REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p and c
     (sample_gnp, (10, 0.5, 1.5)),
     (sample_gnp, (10.0, 0.5, 1)),
     (sample_gnp, (np.float64(10), 0.5, 1)),
@@ -96,6 +104,19 @@ NON_INTEGER_CALLS = [
     (trial_seed, (0, 1.0)),
     (trial_seed, (True, 0)),
     (trial_seed, (0, True)),
+    (density_from_probability, (0.5, 2.5)),
+    (density_from_probability, (0.5, True)),
+    (density_from_coefficient, (0.5, 2.5)),
+    (sample_gnp, (10, True, 1)),
+    (sample_gnp, (10, np.True_, 1)),
+    (sample_gnp, (10, "0.5", 1)),
+    (sample_gnp, (10, None, 1)),
+    (density_from_probability, (True, 10)),
+    (density_from_probability, (math.nan, 10)),
+    (density_from_coefficient, (True, 100)),
+    (density_from_coefficient, (math.inf, 100)),
+    (density_from_coefficient, (math.nan, 100)),
+    (density_from_coefficient, ("0.5", 100)),
 ]
 
 
@@ -110,7 +131,7 @@ def test_numpy_integer_arguments(fn, args, plain):
         assert fn(*args) == fn(*plain)
 
 
-@pytest.mark.parametrize("fn, args", NON_INTEGER_CALLS, ids=_call_id)
+@pytest.mark.parametrize("fn, args", REJECTED_CALLS, ids=_call_id)
 def test_non_integer_arguments_rejected(fn, args):
     with pytest.raises(InvalidParameter):
         fn(*args)

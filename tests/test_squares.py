@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -197,7 +198,7 @@ def test_dump_round_trip(tmp_path):
     companion = dump_square_graph(sq, dest)
     dumped = read_edge_list(dest)
     assert dumped.n == 3 and dumped.m == 3
-    mapping = json.loads(open(companion).read())
+    mapping = json.loads(Path(companion).read_text())
     assert mapping == {"0": [0, 2, 1, 3], "1": [0, 2, 1, 4], "2": [0, 3, 1, 4]}
 
 
