@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic as analytic_mod
-from .errors import MorsegraphError
+from .errors import ConfigError, MorsegraphError
 from .experiment import (
     _SUMMARY_COLUMNS,
     PropertyKind,
@@ -138,7 +138,10 @@ def _cmd_squaregraph(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            raise ConfigError("<document>", f"not a JSON file: {exc}") from exc
     config = SweepConfig.from_mapping(doc)
     summary = run_sweep(config, workers=args.workers)
     _emit(

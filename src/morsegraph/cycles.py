@@ -9,9 +9,9 @@ Induced squares come from diagonal buckets: the bucket of a non-adjacent
 pair {u, w} is the set of non-adjacent pairs inside N(u) & N(w), and each
 pair {x, y} in it spans the square u-x-w-y.  Only pairs with at least two
 common neighbors can have a non-empty bucket; ``_candidate_blocks`` yields
-them as index arrays in lexicographic order, filtered by a matrix product
-over one block of adjacency rows at a time, in pieces of at most
-``_PAIR_CHUNK`` pairs.  Two kinds of consumer read these pieces.
+them as index arrays in lexicographic order, in pieces of at most
+``_PAIR_CHUNK`` pairs, from popcounts of the packed bit rows over the upper
+triangle, one block of rows at a time.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
 array: each candidate gathers its neighbors from CSR neighbor lists, keeps
 the common ones, and pairs the non-adjacent ones.  The isolated-square scan
@@ -51,7 +51,7 @@ from .graph import Graph, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
-# Matrix entries per row block of the diagonal-candidate filter.
+# Vertex pairs per row block of the diagonal-candidate filter.
 _BLOCK_CELLS = 2**18
 # Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
@@ -180,31 +180,31 @@ def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     lexicographic order.
 
     These are exactly the pairs that can occur as a diagonal of an induced
-    square.  The pair filter is a matrix product taken one block of rows at a
-    time: a block of rows of the float32 0/1 adjacency matrix times the whole
-    matrix gives those rows' common-neighbor counts.  The matrix is unpacked
-    from the bit rows block by block too, so beyond its 4 bytes per vertex
-    pair memory stays bounded by ``_BLOCK_CELLS`` at any n, and a consumer
-    that stops early pays only for the blocks it read.  One that builds from
+    square.  The pair filter counts common neighbors one block of rows at a
+    time, as popcounts of each block row ANDed word by word with the packed
+    rows from the block's first row on: the upper triangle it keeps, and no
+    more.  Memory is two copies of the packed rows plus a few bytes for each
+    of a block's at most ``_BLOCK_CELLS`` pairs, at any n.  A consumer that
+    stops early pays only for the blocks it read, and one that builds from
     each piece, as ``build_square_graph`` does, checking its cap after every
     piece, holds one piece's work at a time.
     """
     n = g.n
     packed = _packed_rows(g)
+    # line k holds word k of every row, so each word's pass reads in order
+    cols = np.ascontiguousarray(packed.view(np.uint64).T)
     step = max(_BLOCK_CELLS // max(n, 1), 1)
-    matrix = np.empty((n, n), dtype=np.float32)
     for start in range(0, n, step):
-        matrix[start : start + step] = np.unpackbits(
-            packed[start : start + step], axis=1, count=n, bitorder="little"
-        )
-    for start in range(0, n, step):
-        block = matrix[start : start + step]
-        counts = block @ matrix
-        # keep w > u: column w of block row i is the pair (start + i, w)
-        cand = np.triu((block == 0) & (counts >= 2.0), start + 1)
+        counts = np.zeros((min(step, n - start), n - start), dtype=np.uint32)
+        for word in cols:
+            counts += np.bitwise_count(word[start : start + step, None] & word[start:])
+        block = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
+        # keep w > u: column j of block row i is the pair (start + i, start + j)
+        cand = np.triu((block[:, start:] == 0) & (counts >= 2.0), 1)
         del counts  # not held beside the pair arrays
         us, ws = np.nonzero(cand)
         us += start
+        ws += start
         for i in range(0, len(us), _PAIR_CHUNK):
             yield us[i : i + _PAIR_CHUNK], ws[i : i + _PAIR_CHUNK]
 

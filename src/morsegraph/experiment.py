@@ -242,6 +242,8 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, doc: Mapping[str, Any]) -> "SweepConfig":
+        if not isinstance(doc, Mapping):
+            raise ConfigError("<document>", f"need a JSON object, got {type(doc).__name__}")
         known = {"ns", "coefficients", "ps", "properties", "trials", "seed", "z", "out"}
         for key in doc:
             if key not in known:

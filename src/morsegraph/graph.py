@@ -152,10 +152,13 @@ def read_edge_list(src: Union[PathLike, IO[str]]) -> Graph:
     ``EdgeListFormatError`` for malformed text and propagates
     ``InvalidEdge`` / ``VertexOutOfRange`` for semantically bad pairs.
     """
-    if hasattr(src, "read"):
-        return _read_edge_list(src)  # type: ignore[arg-type]
-    with open(src, "r", encoding="ascii") as fh:
-        return _read_edge_list(fh)
+    try:
+        if hasattr(src, "read"):
+            return _read_edge_list(src)  # type: ignore[arg-type]
+        with open(src, "r", encoding="ascii") as fh:
+            return _read_edge_list(fh)
+    except UnicodeDecodeError as exc:
+        raise EdgeListFormatError(f"not ASCII text: {exc}") from exc
 
 
 def _read_edge_list(fh: IO[str]) -> Graph:

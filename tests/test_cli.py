@@ -211,6 +211,25 @@ def test_sweep_nonpositive_workers_exit_code(tmp_path, capsys, workers):
     assert stdout == "" and "workers" in stderr
 
 
+@pytest.mark.parametrize("command", [["check", "--property", "cfs"], ["squaregraph"]])
+def test_non_ascii_edge_list_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"3 1\n0 \xe9\n")
+    code, stdout, stderr = run_cli(capsys, *command, "--in", str(path))
+    assert code == 1 and stdout == ""
+    assert "error" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("text", ["{not json", "7", '["ns", "ps"]'])
+def test_malformed_sweep_config_exit_code(tmp_path, capsys, text):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    code, stdout, stderr = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 1 and stdout == ""
+    assert "error" in stderr and "Traceback" not in stderr
+    assert "unknown field" not in stderr
+
+
 def test_oracle_failure_exit_code(capsys, monkeypatch):
     import morsegraph.cli as cli
 

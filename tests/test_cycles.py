@@ -149,11 +149,12 @@ def test_squares_match_cycle_enumeration(seed):
 
 def test_square_prefilter_paths_agree():
     # the row-blocked filter against common neighborhoods from Python sets;
-    # n = 600 spans two row blocks, the second one partial, and its first
-    # block holds more than one piece of pairs
+    # n = 0 has no rows and n = 128 fills its two 64-bit words with no
+    # padding; n = 600 spans two row blocks, the second one partial, and its
+    # first block holds more than one piece of pairs
     step = _BLOCK_CELLS // 600
     assert 600 > step and 600 % step
-    for n, p in [(1, 0.5), (2, 1.0), (40, 0.2), (150, 0.12), (600, 0.05)]:
+    for n, p in [(0, 0.5), (1, 0.5), (2, 1.0), (40, 0.2), (128, 0.15), (150, 0.12), (600, 0.05)]:
         g = sample_gnp(n, p, 8)
         nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
         brute = [
@@ -170,10 +171,11 @@ def test_square_prefilter_paths_agree():
 
 
 def test_first_diagonal_candidate_memory():
-    # the first piece of candidates costs the float32 adjacency matrix, 4
-    # bytes per vertex pair, the packed bit rows and the work of one row
-    # block: the matrix is unpacked block by block and a block's pairs are
-    # yielded a piece of at most _PAIR_CHUNK at a time
+    # the first piece of candidates costs two copies of the packed bit rows,
+    # one bit per vertex pair each, and the counts and temporaries of one row
+    # block, about 13 bytes for each of its _BLOCK_CELLS pairs (4.3 MB in all
+    # with numpy 2.4), so an n x n array cannot come back, not even at one
+    # byte per pair
     n = 2048
     g = sample_gnp(n, 0.03, 11)
     tracemalloc.start()
@@ -183,7 +185,7 @@ def test_first_diagonal_candidate_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * n * n
+    assert peak <= n * n // 4 + 16 * _BLOCK_CELLS
 
 
 @pytest.mark.parametrize("seed", range(4))
