@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--which",
         required=True,
-        choices=["mu5", "mu4", "lemma31", "thresholds", "clique-link", "long-cycle-bound"],
+        choices=list(_ANALYTIC),
     )
     ana.add_argument("--k", type=int, default=None)
 
@@ -157,50 +158,33 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _link_probabilities(a) -> dict:
+    return {"p": a.p, **{str(i): analytic_mod.conditional_link_probability(a.p, i) for i in (1, 2, 3)}}
+
+
+# --which quantity -> (the options it needs, its output object from the arguments)
+_ANALYTIC = {
+    "mu5": (("p",), lambda a: {"n": a.n, "p": a.p, "mu5": analytic_mod.expected_morse_pentagons(a.n, a.p)}),
+    "mu4": (("p",), lambda a: {"n": a.n, "p": a.p, "mu4": analytic_mod.expected_morse_squares(a.n, a.p)}),
+    "lemma31": (("p",), _link_probabilities),
+    "thresholds": ((), lambda a: asdict(analytic_mod.thresholds(a.n))),
+    "clique-link": (
+        ("p", "k"),
+        lambda a: {"n": a.n, "k": a.k, "p": a.p, "clique_link": analytic_mod.clique_link_probability(a.n, a.k, a.p)},
+    ),
+    "long-cycle-bound": (
+        ("p", "k"),
+        lambda a: {"n": a.n, "k": a.k, "p": a.p, "long_cycle_bound": analytic_mod.long_cycle_bound(a.n, a.p, a.k)},
+    ),
+}
+
+
 def _cmd_analytic(args, parser: argparse.ArgumentParser) -> int:
-    which = args.which
-    if which == "thresholds":
-        t = analytic_mod.thresholds(args.n)
-        _emit({"n": t.n, "pentagon": t.pentagon, "square": t.square, "cfs": t.cfs})
-        return 0
-    if args.p is None:
-        parser.error(f"--which {which} requires --p")
-    if which == "mu5":
-        _emit({"n": args.n, "p": args.p, "mu5": analytic_mod.expected_morse_pentagons(args.n, args.p)})
-        return 0
-    if which == "mu4":
-        _emit({"n": args.n, "p": args.p, "mu4": analytic_mod.expected_morse_squares(args.n, args.p)})
-        return 0
-    if which == "lemma31":
-        _emit(
-            {
-                "p": args.p,
-                "1": analytic_mod.conditional_link_probability(args.p, 1),
-                "2": analytic_mod.conditional_link_probability(args.p, 2),
-                "3": analytic_mod.conditional_link_probability(args.p, 3),
-            }
-        )
-        return 0
-    if args.k is None:
-        parser.error(f"--which {which} requires --k")
-    if which == "clique-link":
-        _emit(
-            {
-                "n": args.n,
-                "k": args.k,
-                "p": args.p,
-                "clique_link": analytic_mod.clique_link_probability(args.n, args.k, args.p),
-            }
-        )
-        return 0
-    _emit(
-        {
-            "n": args.n,
-            "k": args.k,
-            "p": args.p,
-            "long_cycle_bound": analytic_mod.long_cycle_bound(args.n, args.p, args.k),
-        }
-    )
+    needs, output = _ANALYTIC[args.which]
+    for option in needs:
+        if getattr(args, option) is None:
+            parser.error(f"--which {args.which} requires --{option}")
+    _emit(output(args))
     return 0
 
 

@@ -19,8 +19,10 @@ from dataclasses import dataclass, fields
 from itertools import combinations, permutations
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from . import analytic
-from .cycles import count_induced_cycles, morse_pruned_cycle_search
+from .cycles import count_induced_cycles, enumerate_induced_cycles, morse_pruned_cycle_search
 from .errors import (
     CapacityExceeded,
     ConfigError,
@@ -32,8 +34,8 @@ from .errors import (
 )
 from .gnp import DensityPoint, density_from_coefficient, density_from_probability, sample_gnp, trial_seed
 from .graph import Graph, iter_bits
-from .morse import count_morse_cycles, is_morse_subgraph
-from .squares import build_square_graph, has_isolated_square, is_cfs, is_square_graph_connected, isolated_count
+from .morse import count_morse_cycles, is_morse_subgraph, morse_oracle
+from .squares import build_square_graph, is_cfs, is_square_graph_connected, isolated_count
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -48,10 +50,19 @@ CFS = "cfs"
 INDUCED_CYCLE_COUNT = "induced-cycle-count"
 MORSE_CYCLE_COUNT = "morse-cycle-count"
 
-_BARE_PROPERTIES = frozenset(
-    {MORSE_PENTAGON_EXISTS, MORSE_SQUARE_EXISTS, SQUARE_ISOLATED_EXISTS, SQUARE_GRAPH_CONNECTED, CFS}
-)
-_COUNT_PROPERTIES = frozenset({INDUCED_CYCLE_COUNT, MORSE_CYCLE_COUNT})
+# tag name -> (integer parameters, least length allowed for them, the fixed
+# lengths (kmin, kmax) of a bare Morse tag).  An isolated square-graph vertex
+# is exactly a Morse square, so both square tags ask the length-4 question.
+_TAGS: dict[str, tuple[int, int | None, tuple[int, int] | None]] = {
+    MORSE_PENTAGON_EXISTS: (0, None, (5, 5)),
+    MORSE_CYCLE_EXISTS: (2, 4, None),
+    MORSE_SQUARE_EXISTS: (0, None, (4, 4)),
+    SQUARE_ISOLATED_EXISTS: (0, None, (4, 4)),
+    SQUARE_GRAPH_CONNECTED: (0, None, None),
+    CFS: (0, None, None),
+    INDUCED_CYCLE_COUNT: (1, 3, None),
+    MORSE_CYCLE_COUNT: (1, 4, None),
+}
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,7 @@ class PropertyKind:
     Tags: ``morse-pentagon-exists``, ``morse-cycle-exists:KMIN:KMAX``,
     ``morse-square-exists``, ``square-isolated-exists``,
     ``square-graph-connected``, ``cfs``, ``induced-cycle-count:K``,
-    ``morse-cycle-count:K``.
+    ``morse-cycle-count:K``.  Parameters are plain decimal integers.
     """
 
     name: str
@@ -71,76 +82,57 @@ class PropertyKind:
 
     @classmethod
     def parse(cls, tag: str) -> "PropertyKind":
-        parts = tag.split(":")
-        name = parts[0]
-        if name in _BARE_PROPERTIES:
-            if len(parts) != 1:
-                raise InvalidParameter(f"property {name!r} takes no parameters: {tag!r}")
-            return cls(name=name)
-        if name == MORSE_CYCLE_EXISTS:
-            if len(parts) != 3:
-                raise InvalidParameter(f"expected {name}:KMIN:KMAX, got {tag!r}")
-            try:
-                kmin, kmax = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise InvalidParameter(f"non-integer bounds in {tag!r}") from exc
-            if not 4 <= kmin <= kmax:
-                raise InvalidParameter(f"need 4 <= kmin <= kmax, got {tag!r}")
-            return cls(name=name, kmin=kmin, kmax=kmax)
-        if name in _COUNT_PROPERTIES:
-            if len(parts) != 2:
-                raise InvalidParameter(f"expected {name}:K, got {tag!r}")
-            try:
-                k = int(parts[1])
-            except ValueError as exc:
-                raise InvalidParameter(f"non-integer length in {tag!r}") from exc
-            floor = 4 if name == MORSE_CYCLE_COUNT else 3
-            if k < floor:
-                raise InvalidParameter(f"{name} needs k >= {floor}, got {tag!r}")
-            return cls(name=name, k=k)
-        raise InvalidParameter(f"unknown property tag {tag!r}")
+        name, *params = tag.split(":")
+        if name not in _TAGS:
+            raise InvalidParameter(f"unknown property tag {tag!r}")
+        arity, least, _ = _TAGS[name]
+        if len(params) != arity:
+            raise InvalidParameter(f"property {name!r} takes {arity} parameter(s), got {tag!r}")
+        try:
+            values = [int(param) for param in params]
+        except ValueError as exc:
+            raise InvalidParameter(f"non-integer parameter in {tag!r}") from exc
+        # str(int(param)) is ASCII with no sign, padding, blanks or underscores
+        if [str(v) for v in values] != params:
+            raise InvalidParameter(f"parameters must be plain decimal integers, got {tag!r}")
+        if values and (values[0] < least or values != sorted(values)):
+            raise InvalidParameter(f"{name} needs lengths >= {least} in order, got {tag!r}")
+        if arity == 2:
+            return cls(name=name, kmin=values[0], kmax=values[1])
+        return cls(name, *values)
 
     @property
     def tag(self) -> str:
-        if self.name == MORSE_CYCLE_EXISTS:
-            return f"{self.name}:{self.kmin}:{self.kmax}"
-        if self.name in _COUNT_PROPERTIES:
-            return f"{self.name}:{self.k}"
-        return self.name
+        return ":".join([self.name, *(str(v) for v in (self.k, self.kmin, self.kmax) if v is not None)])
 
     @property
     def is_count(self) -> bool:
-        return self.name in _COUNT_PROPERTIES
+        return self.k is not None
 
-
-def _morse_range(prop: PropertyKind) -> tuple[int, int] | None:
-    """The cycle lengths ``(kmin, kmax)`` of a Morse-cycle existence tag, else ``None``."""
-    if prop.name == MORSE_CYCLE_EXISTS:
-        return prop.kmin, prop.kmax
-    return {MORSE_PENTAGON_EXISTS: (5, 5), MORSE_SQUARE_EXISTS: (4, 4)}.get(prop.name)
+    @property
+    def lengths(self) -> tuple[int, int] | None:
+        """The cycle lengths ``(kmin, kmax)`` the tag asks about; ``None`` for
+        the square-graph tags (``cfs``, ``square-graph-connected``)."""
+        if self.k is not None:
+            return self.k, self.k
+        if self.kmin is not None:
+            return self.kmin, self.kmax
+        return _TAGS[self.name][2]
 
 
 def evaluate_property_with_witness(
     g: Graph, prop: PropertyKind
 ) -> tuple[bool | int, list[int] | None]:
     """Evaluate one property on one graph, with a witness where one exists."""
-    name = prop.name
-    bounds = _morse_range(prop)
-    if bounds is not None:
-        w = morse_pruned_cycle_search(g, *bounds)
-        return (w is not None), (list(w.vertices) if w else None)
-    if name == SQUARE_ISOLATED_EXISTS:
-        sq = has_isolated_square(g)
-        return (sq is not None), (list(sq) if sq else None)
-    if name == SQUARE_GRAPH_CONNECTED:
-        return is_square_graph_connected(build_square_graph(g)), None
-    if name == CFS:
-        return is_cfs(g, build_square_graph(g)), None
-    if name == INDUCED_CYCLE_COUNT:
-        return count_induced_cycles(g, prop.k), None
-    if name == MORSE_CYCLE_COUNT:
-        return count_morse_cycles(g, prop.k), None
-    raise InvalidParameter(f"unknown property {prop!r}")
+    lengths = prop.lengths
+    if lengths is None:
+        sq = build_square_graph(g)
+        return (is_cfs(g, sq) if prop.name == CFS else is_square_graph_connected(sq)), None
+    if prop.is_count:
+        count = count_morse_cycles if prop.name == MORSE_CYCLE_COUNT else count_induced_cycles
+        return count(g, prop.k), None
+    w = morse_pruned_cycle_search(g, *lengths)
+    return (w is not None), (list(w.vertices) if w else None)
 
 
 def evaluate_property(g: Graph, prop: PropertyKind) -> bool | int:
@@ -323,7 +315,6 @@ class CellSummary:
     trials: int
     errors: int
     successes_or_mean: float
-    variance: float | None
     estimate: float
     wilson_lo: float | None
     wilson_hi: float | None
@@ -331,11 +322,9 @@ class CellSummary:
 
 
 # The summary's columns as (name, CellSummary field), in output order; the
-# CSV leaves out "errors", and no output carries the variance.
+# CSV leaves out "errors".
 _SUMMARY_COLUMNS = tuple(
-    ("property" if f.name == "property_tag" else f.name, f.name)
-    for f in fields(CellSummary)
-    if f.name != "variance"
+    ("property" if f.name == "property_tag" else f.name, f.name) for f in fields(CellSummary)
 )
 
 
@@ -432,10 +421,6 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
         if prop.is_count:
             outcomes = [float(r.outcome) for r in valid]
             mean = sum(outcomes) / len(outcomes) if outcomes else float("nan")
-            if len(outcomes) >= 2:
-                variance = sum((x - mean) ** 2 for x in outcomes) / (len(outcomes) - 1)
-            else:
-                variance = 0.0
             tally, estimate, lo, hi = mean, mean, None, None
         else:
             successes = sum(1 for r in valid if r.outcome is True)
@@ -444,7 +429,7 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
                 lo, hi = wilson_interval(successes, len(valid), config.z)
             else:
                 estimate, lo, hi = float("nan"), None, None
-            tally, variance = float(successes), None
+            tally = float(successes)
         summaries.append(
             CellSummary(
                 n=n,
@@ -454,7 +439,6 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
                 trials=config.trials,
                 errors=errors,
                 successes_or_mean=tally,
-                variance=variance,
                 estimate=estimate,
                 wilson_lo=lo,
                 wilson_hi=hi,
@@ -492,12 +476,9 @@ def _pair_index(n: int) -> list[tuple[int, int]]:
 
 
 def _mask_weights(n: int, p: float):
-    import numpy as np
-
     num_pairs = n * (n - 1) // 2
-    lut = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
     masks = np.arange(1 << num_pairs, dtype=np.uint32)
-    counts = lut[masks.view(np.uint8).reshape(-1, 4)].sum(axis=1)
+    counts = np.bitwise_count(masks)
     p_pow = np.power(p, np.arange(num_pairs + 1, dtype=np.float64))
     q_pow = np.power(1.0 - p, np.arange(num_pairs + 1, dtype=np.float64))
     return masks, p_pow[counts] * q_pow[num_pairs - counts]
@@ -551,7 +532,7 @@ def exhaustive_small_n_expectation(n: int, p: float, prop: PropertyKind) -> floa
         raise InvalidParameter(f"need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
-    if prop.is_count or _morse_range(prop) is not None:
+    if prop.lengths is not None:
         return _exhaustive_candidates(n, p, prop)
     return _exhaustive_direct(n, p, prop)
 
@@ -573,22 +554,15 @@ def _exhaustive_direct(n: int, p: float, prop: PropertyKind) -> float:
 
 
 def _exhaustive_candidates(n: int, p: float, prop: PropertyKind) -> float:
-    """The same sum grouped by cycle placement: cycle counts and Morse-cycle existence only."""
-    import numpy as np
-
+    """The same sum grouped by cycle placement: the tags with cycle lengths only."""
     masks, weights = _mask_weights(n, p)
     pairs = _pair_index(n)
     counting = prop.is_count
-    if counting:
-        ks, morse = [prop.k], prop.name == MORSE_CYCLE_COUNT
-    else:
-        kmin, kmax = _morse_range(prop)
-        ks, morse = list(range(kmin, kmax + 1)), True
+    morse = prop.name != INDUCED_CYCLE_COUNT
+    kmin, kmax = prop.lengths
     total = 0.0
     exists = np.zeros(len(masks), dtype=bool) if not counting else None
-    for k in ks:
-        if k > n:
-            continue
+    for k in range(kmin, min(kmax, n) + 1):
         for cycle, cyc_bits, chord_bits in _cycle_candidates(n, k):
             sel = np.flatnonzero(((masks & cyc_bits) == cyc_bits) & ((masks & chord_bits) == 0))
             if morse:
@@ -622,9 +596,6 @@ def run_oracle_suite(
     exact small-n expectation identities.  Graphs have n = 5..``max_n``,
     with ``5 <= max_n <= 12``.  Returns a JSON-ready report.
     """
-    from .cycles import enumerate_induced_cycles
-    from .morse import morse_oracle
-
     if not 5 <= max_n <= 12:
         raise InvalidParameter(f"need 5 <= max_n <= 12, got {max_n}")
     if subsets_per_graph < 0:

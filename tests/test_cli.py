@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from morsegraph import build_graph, density_from_coefficient, read_edge_list, sample_gnp, thresholds, write_edge_list
+from morsegraph import (
+    build_graph,
+    clique_link_probability,
+    density_from_coefficient,
+    expected_morse_squares,
+    long_cycle_bound,
+    read_edge_list,
+    sample_gnp,
+    thresholds,
+    write_edge_list,
+)
 from morsegraph.cli import main
 from helpers import complete_bipartite, cycle_graph
 
@@ -126,6 +136,30 @@ def test_analytic_requires_p_for_mu(capsys):
     with pytest.raises(SystemExit) as err:
         main(["analytic", "--n", "10", "--which", "mu5"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "which,want",
+    [
+        ("mu4", {"n": 256, "p": 0.14, "mu4": expected_morse_squares(256, 0.14)}),
+        ("clique-link", {"n": 256, "k": 5, "p": 0.14, "clique_link": clique_link_probability(256, 5, 0.14)}),
+        ("long-cycle-bound", {"n": 256, "k": 5, "p": 0.14, "long_cycle_bound": long_cycle_bound(256, 0.14, 5)}),
+    ],
+)
+def test_analytic_output_matches_library(capsys, which, want):
+    code, stdout, _ = run_cli(
+        capsys, "analytic", "--n", "256", "--p", "0.14", "--which", which, "--k", "5"
+    )
+    assert code == 0
+    assert stdout == json.dumps(want) + "\n"
+
+
+@pytest.mark.parametrize("which", ["clique-link", "long-cycle-bound"])
+def test_analytic_requires_k(capsys, which):
+    with pytest.raises(SystemExit) as err:
+        main(["analytic", "--n", "256", "--p", "0.14", "--which", which])
+    assert err.value.code == 2
+    assert "requires --k" in capsys.readouterr().err
 
 
 def test_unknown_property_is_usage_error(tmp_path, capsys):

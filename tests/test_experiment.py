@@ -70,6 +70,11 @@ def test_property_tag_round_trip(tag):
         "cfs:5",                    # stray parameter
         "no-such-property",
         "morse-cycle-count:x",
+        "morse-cycle-count:+5",     # signed
+        "morse-cycle-count:05",     # zero-padded
+        "morse-cycle-count: 5",     # blank
+        "morse-cycle-count:5_0",    # digit separator
+        "morse-cycle-exists:\u0665:8",  # non-ASCII digit
     ],
 )
 def test_property_tag_rejects_malformed(tag):
@@ -233,7 +238,12 @@ def test_exhaustive_candidate_equals_direct(tag):
 
 
 def test_exhaustive_exists_candidate_equals_direct():
-    for tag in ("morse-square-exists", "morse-pentagon-exists", "morse-cycle-exists:4:5"):
+    for tag in (
+        "morse-square-exists",
+        "square-isolated-exists",
+        "morse-pentagon-exists",
+        "morse-cycle-exists:4:5",
+    ):
         fast = _exhaustive_candidates(5, 0.35, P(tag))
         slow = _exhaustive_direct(5, 0.35, P(tag))
         assert fast == pytest.approx(slow, abs=1e-14)
@@ -389,7 +399,7 @@ def test_sweep_output_and_determinism(tmp_path):
     for cell in summary_a.cells:
         assert cell.errors == 0
         if cell.property_tag == "morse-cycle-count:5":
-            assert cell.wilson_lo is None and cell.variance is not None
+            assert cell.wilson_lo is None and cell.wilson_hi is None
         else:
             assert cell.wilson_lo is not None
             assert cell.wilson_lo <= cell.estimate <= cell.wilson_hi
@@ -448,7 +458,8 @@ def test_sweep_golden(tmp_path):
 
 
 def test_sweep_cross_property_identity(tmp_path):
-    # the two square-existence routes must agree trial by trial on the same graph
+    # the two square-existence tags must agree trial by trial on the same
+    # graph, in outcome and in witness
     cfg = SweepConfig.from_mapping(
         {
             "ns": [20],
@@ -466,6 +477,10 @@ def test_sweep_cross_property_identity(tmp_path):
     for record in records:
         by_property.setdefault(record["property"], []).append(record["outcome"])
     assert by_property["morse-square-exists"] == by_property["square-isolated-exists"]
+    for t in range(cfg.trials):
+        g = sample_gnp(20, 0.25, trial_seed(cfg.seed, t))
+        morse, isolated = (evaluate_property_with_witness(g, prop) for prop in cfg.properties)
+        assert morse == isolated
 
 
 def test_sweep_fails_on_error_rate(tmp_path, monkeypatch):
