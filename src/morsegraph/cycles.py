@@ -15,8 +15,10 @@ triangle, one block of rows at a time.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
 array: each candidate gathers its neighbors from CSR neighbor lists, keeps
 the common ones, and pairs the non-adjacent ones.  The isolated-square scan
-of ``squares`` turns each piece into Python pairs, stops early and reads one
-bucket at a time through ``_diagonal_bucket``.  A square is emitted from its
+of ``squares`` first drops, in numpy, each candidate with two or more
+non-adjacent pairs among its three lowest common neighbors, which rules out
+a singleton bucket; it reads the buckets of the rest one at a time through
+``_diagonal_bucket`` and can stop early.  A square is emitted from its
 smaller diagonal, which makes its vertex order canonical as built.
 
 ``_morse_cycles`` yields every Morse cycle in a length range once; the
@@ -174,23 +176,24 @@ def count_induced_cycles(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, as
     ``(us, ws)`` index arrays of at most ``_PAIR_CHUNK`` pairs, in
-    lexicographic order.
+    lexicographic order, from the rows ``packed`` by ``_packed_rows``.
 
     These are exactly the pairs that can occur as a diagonal of an induced
     square.  The pair filter counts common neighbors one block of rows at a
     time, as popcounts of each block row ANDed word by word with the packed
     rows from the block's first row on: the upper triangle it keeps, and no
-    more.  Memory is two copies of the packed rows plus a few bytes for each
-    of a block's at most ``_BLOCK_CELLS`` pairs, at any n.  A consumer that
-    stops early pays only for the blocks it read, and one that builds from
-    each piece, as ``build_square_graph`` does, checking its cap after every
-    piece, holds one piece's work at a time.
+    more.  A block's pairs are held as one array of flat indices, split into
+    ``(us, ws)`` a piece at a time.  Memory is the caller's packed rows, one
+    transposed copy of them and a few bytes for each of a block's at most
+    ``_BLOCK_CELLS`` pairs, at any n.  A consumer that stops early pays only
+    for the blocks it read, and one that builds from each piece, as
+    ``build_square_graph`` does, checking its cap after every piece, holds
+    one piece's work at a time.
     """
-    n = g.n
-    packed = _packed_rows(g)
+    n = len(packed)
     # line k holds word k of every row, so each word's pass reads in order
     cols = np.ascontiguousarray(packed.view(np.uint64).T)
     step = max(_BLOCK_CELLS // max(n, 1), 1)
@@ -201,12 +204,13 @@ def _candidate_blocks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         block = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
         # keep w > u: column j of block row i is the pair (start + i, start + j)
         cand = np.triu((block[:, start:] == 0) & (counts >= 2.0), 1)
-        del counts  # not held beside the pair arrays
-        us, ws = np.nonzero(cand)
-        us += start
-        ws += start
-        for i in range(0, len(us), _PAIR_CHUNK):
-            yield us[i : i + _PAIR_CHUNK], ws[i : i + _PAIR_CHUNK]
+        del counts  # not held beside the pair indices
+        flat = np.flatnonzero(cand)
+        for i in range(0, len(flat), _PAIR_CHUNK):
+            us, ws = np.divmod(flat[i : i + _PAIR_CHUNK], n - start)
+            us += start
+            ws += start
+            yield us, ws
 
 
 def _packed_rows(g: Graph) -> np.ndarray:
@@ -264,7 +268,7 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     lows, above = lows[above > lows], above[above > lows]
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(lows, minlength=n), out=ptr[1:])
-    for us, ws in _candidate_blocks(g):
+    for us, ws in _candidate_blocks(packed):
         deg = ptr[us + 1] - ptr[us]
         owner = np.repeat(np.arange(len(us)), deg)
         xs = above[_ranges(ptr[us], deg)]

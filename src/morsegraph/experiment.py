@@ -279,8 +279,8 @@ class SweepConfig:
         if not is_int(trials) or trials < 1:
             raise ConfigError("trials", f"need an integer >= 1, got {trials!r}")
         seed = doc.get("seed")
-        if not is_int(seed):
-            raise ConfigError("seed", f"need an integer, got {seed!r}")
+        if not is_int(seed) or not 0 <= seed < 2**64:
+            raise ConfigError("seed", f"need an integer in [0, 2**64), got {seed!r}")
         z = doc.get("z", 1.96)
         if not is_real(z) or not z > 0:
             raise ConfigError("z", f"need a finite real > 0, got {z!r}")

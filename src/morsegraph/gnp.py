@@ -3,9 +3,9 @@
 The generator pipeline is pinned so that a graph is a pure function of
 ``(n, p, seed)`` across runs, platforms, and worker layouts:
 
-* A 64-bit seed is expanded into 256 bits of state with splitmix64
-  (increment ``0x9E3779B97F4A7C15``, mix constants ``0xBF58476D1CE4E5B9``
-  and ``0x94D049BB133111EB``, shifts 30/27/31).
+* A 64-bit seed, an integer in [0, 2**64), is expanded into 256 bits of
+  state with splitmix64 (increment ``0x9E3779B97F4A7C15``, mix constants
+  ``0xBF58476D1CE4E5B9`` and ``0x94D049BB133111EB``, shifts 30/27/31).
 * Uniform 64-bit words come from xoshiro256** (scrambler
   ``rotl(s1 * 5, 7) * 9``, shift 17, rotation 45).
 * Unordered pairs ``(u, v)`` with ``u < v`` are visited in lexicographic
@@ -105,9 +105,16 @@ def _real(name: str, value, high: float) -> float:
     raise InvalidParameter(f"{name} must be a real number in [0, {high:g}], got {value!r}")
 
 
+def _seed(name: str, value) -> int:
+    """``value`` as a seed in [0, 2**64); one outside is not wrapped onto another seed."""
+    if 0 <= (seed := _integer(name, value)) < 2**64:
+        return seed
+    raise InvalidParameter(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Sampler seed for one trial of a sweep keyed by a master seed."""
-    master_seed = _integer("master seed", master_seed)
+    master_seed = _seed("master seed", master_seed)
     trial_index = _integer("trial_index", trial_index)
     if trial_index < 0:
         raise InvalidParameter(f"trial_index must be >= 0, got {trial_index}")
@@ -283,7 +290,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     path, process, or call history.
     """
     n = _integer("vertex count", n)
-    seed = _integer("seed", seed)
+    seed = _seed("seed", seed)
     if n < 0:
         raise InvalidParameter(f"vertex count must be >= 0, got {n}")
     p = _real("edge probability", p, 1.0)

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cycles import _candidate_blocks, _diagonal_bucket, _ranges, _square_blocks
+from .cycles import _adjacent, _candidate_blocks, _diagonal_bucket, _packed_rows, _ranges, _square_blocks
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
 
@@ -167,13 +167,19 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     A square is isolated iff each of its diagonals' buckets holds only the
     other diagonal, so the scan takes each candidate diagonal ``(u, w)``
     whose bucket is a single pair ``(x, y)`` above it and tests the bucket
-    of ``(x, y)`` for being exactly ``(u, w)``.  A square comes from its
-    smaller diagonal, where ``u < x < y``, so ``(u, x, w, y)`` is canonical;
-    squares come in the order of ``enumerate_induced_squares``.  These are
-    exactly the Morse squares of ``g``.
+    of ``(x, y)`` for being exactly ``(u, w)``.  The non-adjacent pairs among
+    a candidate's three lowest common neighbors lie in its bucket, so a numpy
+    test over each piece of candidates first drops those with two or more of
+    them; only the rest read their buckets, one at a time, in Python.  A
+    square comes from its smaller diagonal, where ``u < x < y``, so
+    ``(u, x, w, y)`` is canonical; squares come in the order of
+    ``enumerate_induced_squares``.  These are exactly the Morse squares of
+    ``g``.
     """
-    for us, ws in _candidate_blocks(g):
-        for u, w in zip(us.tolist(), ws.tolist()):
+    packed = _packed_rows(g)
+    for us, ws in _candidate_blocks(packed):
+        keep = _lowest_gaps(packed, us, ws) <= 1
+        for u, w in zip(us[keep].tolist(), ws[keep].tolist()):
             bucket = _diagonal_bucket(g, u, w, 2)
             if len(bucket) != 1 or bucket[0] < (u, w):
                 continue
@@ -181,6 +187,35 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
             reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
             if reciprocal_ok:
                 yield u, x, w, y
+
+
+def _lowest_gaps(packed: np.ndarray, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """The number of non-adjacent pairs among the three lowest common
+    neighbors of each candidate diagonal ``(us[i], ws[i])``, or among its two
+    when it has only two: the lowest bits of the words flagged as holding one."""
+    words = packed.view(np.uint64)
+    lines = np.arange(len(us))
+    filled = np.empty((words.shape[1], len(us)), dtype=bool)  # per word and candidate
+    for k in range(len(filled)):
+        np.not_equal(words[us, k] & words[ws, k], 0, out=filled[k])
+    at = filled.argmax(axis=0)
+    word = words[us, at] & words[ws, at]
+    lowest = []
+    for _ in range(3):
+        if lowest:  # a spent word gives way to the next flagged one, or to none
+            spent = lines[word == 0]
+            filled[at[spent], spent] = False
+            at[spent] = filled[:, spent].argmax(axis=0)
+            fresh = words[us[spent], at[spent]] & words[ws[spent], at[spent]]
+            word[spent] = np.where(filled[at[spent], spent], fresh, 0)  # not a stale word
+        found = word != 0
+        low = word & (~word + 1)
+        lowest.append(64 * at + np.bitwise_count(low - 1))
+        word ^= low
+    x1, x2, x3 = lowest
+    x3 = np.where(found, x3, x1)  # a missing third neighbor counts in no pair
+    gaps = (~_adjacent(packed, x1, x2)).astype(np.intp)
+    return gaps + (found & ~_adjacent(packed, x1, x3)) + (found & ~_adjacent(packed, x2, x3))
 
 
 def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:

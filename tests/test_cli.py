@@ -282,6 +282,17 @@ def test_gen_domain_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in stderr
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_gen_out_of_range_seed_exit_code(tmp_path, capsys, seed):
+    # a seed is not reduced mod 2**64 onto another seed's graph
+    out = tmp_path / "x.edges"
+    code, stdout, stderr = run_cli(
+        capsys, "gen", "--n", "30", "--p", "0.5", "--seed", seed, "--out", str(out)
+    )
+    assert code == 1 and stdout == "" and "seed" in stderr
+    assert not out.exists()
+
+
 def test_gen_infinite_coefficient_exit_code(tmp_path, capsys):
     out = tmp_path / "x.edges"
     code, stdout, stderr = run_cli(

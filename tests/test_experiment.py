@@ -347,6 +347,8 @@ def test_sweep_config_validation(tmp_path):
         ("ns", [1]),
         ("seed", "abc"),
         ("seed", False),
+        ("seed", -1),
+        ("seed", 2**64),
         ("z", -1),
         ("properties", []),
         ("properties", ["bogus"]),

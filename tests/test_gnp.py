@@ -104,6 +104,10 @@ REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p a
     (trial_seed, (0, 1.0)),
     (trial_seed, (True, 0)),
     (trial_seed, (0, True)),
+    (sample_gnp, (30, 0.5, -1)),  # seeds outside [0, 2**64): -1 would alias 2**64 - 1
+    (sample_gnp, (30, 0.5, 2**64)),  # would alias 0
+    (trial_seed, (-1, 0)),
+    (trial_seed, (2**64, 0)),
     (density_from_probability, (0.5, 2.5)),
     (density_from_probability, (0.5, True)),
     (density_from_coefficient, (0.5, 2.5)),

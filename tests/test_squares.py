@@ -20,7 +20,8 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
-from morsegraph.squares import square_graph_edges
+from morsegraph.cycles import _BLOCK_CELLS
+from morsegraph.squares import isolated_squares, square_graph_edges
 from helpers import (
     brute_induced_squares,
     complete_bipartite,
@@ -158,6 +159,86 @@ def test_isolated_scan_matches_full_build_with_prefilter(seed):
     g = sample_gnp(150, 0.09, trial_seed(2150, seed))
     sq = build_square_graph(g)
     assert (isolated_count(sq) > 0) == (has_isolated_square(g) is not None)
+
+
+def test_isolated_scan_memory():
+    # the scan shares one copy of the packed rows with the candidate filter
+    # and holds a flag per word and candidate of one piece, so it stays under
+    # the bound of the candidate filter alone
+    n = 2048
+    g = sample_gnp(n, density_from_coefficient(0.9, n).p, trial_seed(11, 0))
+    tracemalloc.start()
+    try:
+        has_isolated_square(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n // 4 + 16 * _BLOCK_CELLS
+
+
+def _reference_isolated_squares(g):
+    """Isolated squares in the scan's (u, w, x, y) order, from the squares
+    listed by Python neighbor sets and the number of squares on each diagonal."""
+    squares = neighbor_set_squares(g)
+    sizes = {}
+    for a, b, c, d in squares:
+        for pair in ((a, c), (b, d)):
+            sizes[pair] = sizes.get(pair, 0) + 1
+    isolated = [s for s in squares if sizes[s[0], s[2]] == sizes[s[1], s[3]] == 1]
+    return sorted(isolated, key=lambda s: (s[0], s[2], s[1], s[3]))
+
+
+# (number of common neighbors a < b < c < d of the planted diagonal, edges
+# among them by position) and the diagonal's bucket, read with the lowest
+# three in mind
+PLANTED_BUCKETS = [
+    (2, []),  # {ab}: two common neighbors, a C4
+    (2, [(0, 1)]),  # empty
+    (3, [(0, 2), (1, 2)]),  # {ab}
+    (3, [(0, 1), (0, 2)]),  # {bc}
+    (3, [(0, 1)]),  # {ac, bc}
+    (4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),  # {cd}, d above the lowest three
+    (4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # {ad}
+    (4, [(0, 1), (0, 2), (1, 2)]),  # {ad, bd, cd}, none among the lowest three
+]
+# common neighbors from vertex 0 on, and around the 64-bit word boundaries
+PLANTED_LAYOUTS = [
+    (0, 1, 2, 3), (61, 62, 63, 64), (62, 63, 64, 65), (63, 64, 65, 66),
+    (0, 63, 64, 127), (0, 64, 127, 128), (63, 64, 127, 128), (125, 126, 127, 128),
+]
+
+
+def _planted_hosts(n):
+    """Hosts on ``n`` vertices with one diagonal ``(u, w)`` planted over each
+    layout and bucket that fit, ``u`` and ``w`` below or above the rest."""
+    for layout in PLANTED_LAYOUTS:
+        for size, chords in PLANTED_BUCKETS:
+            common = layout[:size]
+            if common[-1] >= n:
+                continue
+            rest = [v for v in range(n) if v not in common]
+            for u, w in (rest[:2], rest[-2:]):
+                edges = [(v, x) for v in (u, w) for x in common]
+                yield build_graph(n, edges + [(common[i], common[j]) for i, j in chords])
+
+
+@pytest.mark.parametrize(
+    "kind, value", [("planted", n) for n in (63, 64, 65, 127, 128, 129)]
+    + [("gnp", c) for c in (0.6, 0.8, 1.0, 1.5, 3.0)]
+)
+def test_isolated_squares_match_reference(kind, value):
+    if kind == "planted":
+        hosts = list(_planted_hosts(value))
+    else:
+        p = density_from_coefficient(value, 150).p
+        hosts = [sample_gnp(150, p, trial_seed(1500, int(10 * value)))]
+    found = 0
+    for g in hosts:
+        expected = _reference_isolated_squares(g)
+        assert list(isolated_squares(g)) == expected
+        assert has_isolated_square(g) == next(iter(expected), None)
+        found += len(expected)
+    assert found or kind == "gnp" and value > 1.0
 
 
 @pytest.mark.parametrize("seed", range(4))
