@@ -176,26 +176,25 @@ def count_induced_cycles(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _candidate_blocks(packed: np.ndarray, cols: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, as
     ``(us, ws)`` index arrays of at most ``_PAIR_CHUNK`` pairs, in
-    lexicographic order, from the rows ``packed`` by ``_packed_rows``.
+    lexicographic order, from the rows ``packed`` by ``_packed_rows`` and
+    their words ``cols`` by ``_word_columns``.
 
     These are exactly the pairs that can occur as a diagonal of an induced
     square.  The pair filter counts common neighbors one block of rows at a
     time, as popcounts of each block row ANDed word by word with the packed
     rows from the block's first row on: the upper triangle it keeps, and no
     more.  A block's pairs are held as one array of flat indices, split into
-    ``(us, ws)`` a piece at a time.  Memory is the caller's packed rows, one
-    transposed copy of them and a few bytes for each of a block's at most
+    ``(us, ws)`` a piece at a time.  Memory is the caller's packed rows and
+    their transposed copy, and a few bytes for each of a block's at most
     ``_BLOCK_CELLS`` pairs, at any n.  A consumer that stops early pays only
     for the blocks it read, and one that builds from each piece, as
     ``build_square_graph`` does, checking its cap after every piece, holds
     one piece's work at a time.
     """
     n = len(packed)
-    # line k holds word k of every row, so each word's pass reads in order
-    cols = np.ascontiguousarray(packed.view(np.uint64).T)
     step = max(_BLOCK_CELLS // max(n, 1), 1)
     for start in range(0, n, step):
         counts = np.zeros((min(step, n - start), n - start), dtype=np.uint32)
@@ -219,6 +218,12 @@ def _packed_rows(g: Graph) -> np.ndarray:
     width = max((g.n + 63) // 64, 1) * 8
     buf = b"".join(row.to_bytes(width, "little") for row in g.rows)
     return np.frombuffer(buf, dtype=np.uint8).reshape(g.n, width)
+
+
+def _word_columns(packed: np.ndarray) -> np.ndarray:
+    """The packed rows' 64-bit words transposed: line ``k`` holds word ``k`` of
+    every row, so a pass over one word reads one contiguous line."""
+    return np.ascontiguousarray(packed.view(np.uint64).T)
 
 
 def _adjacent(packed: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -268,7 +273,7 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     lows, above = lows[above > lows], above[above > lows]
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(lows, minlength=n), out=ptr[1:])
-    for us, ws in _candidate_blocks(packed):
+    for us, ws in _candidate_blocks(packed, _word_columns(packed)):
         deg = ptr[us + 1] - ptr[us]
         owner = np.repeat(np.arange(len(us)), deg)
         xs = above[_ranges(ptr[us], deg)]

@@ -21,7 +21,9 @@ which ``sample_gnp`` also uses for small graphs; and a numpy sampler
 (``_sample_rows_numpy``) that steps xoshiro256** in parallel lanes, each
 lane seeded by GF(2) jump-ahead to its offset in the single stream.  A jump
 is applied through a table of 32 byte lookups XORed together, not a matrix
-product, so sampling makes no BLAS call.
+product, so sampling makes no BLAS call.  The lanes are stepped in place
+through scratch arrays that each block of lanes allocates once, never per
+draw and never shared between calls, so concurrent calls stay independent.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 # Below this many pairs the pure-Python loop beats the numpy lanes' fixed
-# cost (~1.5 ms); measured crossover 2.2k-2.6k pairs on 2-core x86-64, numpy 2.4.
+# cost (~2.5 ms); measured crossover 2.0k-2.9k pairs on 2-core x86-64, numpy 2.4.
 _NUMPY_MIN_PAIRS = 2560
 _LANE_CHUNK = 128  # consecutive draws made by each lane
 _LANE_BLOCK = 4096  # lanes stepped together; bounds memory at any n
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
-    """First ``count`` outputs of splitmix64 started at ``seed`` (mod 2**64)."""
-    state = seed & MASK64
+    """First ``count`` outputs of splitmix64 started at ``seed``, in [0, 2**64)."""
+    state = _seed("seed", seed)
     out = []
     for _ in range(count):
         state = (state + GOLDEN) & MASK64
@@ -62,7 +64,7 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** with splitmix64 state expansion from a 64-bit seed."""
+    """xoshiro256** with splitmix64 state expansion from a seed in [0, 2**64)."""
 
     __slots__ = ("s0", "s1", "s2", "s3")
 
@@ -178,19 +180,33 @@ def _sample_rows_python(n: int, threshold: int, seed: int) -> list[int]:
     return rows
 
 
-def _xoshiro_step(s):
-    """Step xoshiro256** lanes ``s`` (``(4, lanes)`` uint64) in place; return their outputs."""
+def _xoshiro_steps(s):
+    """Step xoshiro256** lanes ``s`` (``(4, lanes)`` uint64) in place, yielding
+    their outputs after each step.
+
+    The outputs and one temporary are two arrays allocated once, so a step
+    allocates nothing.  The shifts and multipliers are 0-d uint64 arrays,
+    which numpy takes without converting a Python int on every call.
+    """
     s0, s1, s2, s3 = s
-    x = s1 * 5
-    r = ((x << 7) | (x >> 57)) * 9
-    t = s1 << 17
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
-    s2 ^= t
-    s3[:] = (s3 << 45) | (s3 >> 19)
-    return r
+    r, t = np.empty((2, s.shape[1]), dtype=np.uint64)
+    m5, m9, l7, r57, l17, l45, r19 = (np.array(c, dtype=np.uint64) for c in (5, 9, 7, 57, 17, 45, 19))
+    while True:
+        np.multiply(s1, m5, out=r)
+        np.left_shift(r, l7, out=t)
+        np.right_shift(r, r57, out=r)
+        np.bitwise_or(r, t, out=r)
+        np.multiply(r, m9, out=r)
+        np.left_shift(s1, l17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, l45, out=t)
+        np.right_shift(s3, r19, out=s3)
+        s3 |= t
+        yield r
 
 
 def _jump_table(images):
@@ -236,7 +252,7 @@ def _lane_jump(k: int):
     else:
         unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
         s = unit.T.astype(np.uint64)
-        _xoshiro_step(s)
+        next(_xoshiro_steps(s))
         table = _jump_table(s.T)
         for _ in range(_LANE_CHUNK.bit_length() - 1):
             table = _square(table)
@@ -252,6 +268,11 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     ``_LANE_CHUNK`` draws, so the draws read lane by lane are the single
     stream, i.e. the lexicographic pairs.  Lanes run ``_LANE_BLOCK`` at a
     time; each block starts where the previous block's last lane stopped.
+    A block steps its ``(4, lanes)`` state in place, its outputs landing in
+    one scratch array of the block's own, and sets one row of a
+    ``(_LANE_CHUNK, lanes)`` hit matrix per step; the hits are read back as
+    flat indices.  A block of ``_LANE_BLOCK * _LANE_CHUNK`` draws bounds the
+    working memory at any n.
     """
     pairs = n * (n - 1) // 2
     lanes_total = -(-pairs // _LANE_CHUNK)
@@ -267,18 +288,19 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
         for level in range((count - 1).bit_length()):
             state = np.concatenate([state, _jump(state[: count - len(state)], _lane_jump(level))])
         s = state.T.copy()
+        steps = _xoshiro_steps(s)
         hits = np.empty((_LANE_CHUNK, count), dtype=bool)
-        for j in range(_LANE_CHUNK):
-            np.less(_xoshiro_step(s), thr, out=hits[j])
+        for row in hits:
+            np.less(next(steps), thr, out=row)
         state = s[:, -1:].T
-        j, lane = np.nonzero(hits)
+        j, lane = np.divmod(np.flatnonzero(hits), count)
         k = (lane0 + lane) * _LANE_CHUNK + j
         k = k[k < pairs]
         u = np.searchsorted(first, k, side="right") - 1
         v = k - first[u] + u + 1
         np.bitwise_or.at(out, u * words + (v >> 6), 1 << (v & 63).astype(np.uint64))
         np.bitwise_or.at(out, v * words + (u >> 6), 1 << (u & 63).astype(np.uint64))
-    buf = out.astype("<u8").tobytes()
+    buf = memoryview(out.astype("<u8", copy=False)).cast("B")  # no copy of the rows
     stride = words * 8
     return [int.from_bytes(buf[v * stride : (v + 1) * stride], "little") for v in range(n)]
 

@@ -18,7 +18,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .cycles import _adjacent, _candidate_blocks, _diagonal_bucket, _packed_rows, _ranges, _square_blocks
+from .cycles import (
+    _adjacent, _candidate_blocks, _diagonal_bucket, _packed_rows, _ranges, _square_blocks, _word_columns
+)
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
 
@@ -177,8 +179,9 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     ``g``.
     """
     packed = _packed_rows(g)
-    for us, ws in _candidate_blocks(packed):
-        keep = _lowest_gaps(packed, us, ws) <= 1
+    cols = _word_columns(packed)
+    for us, ws in _candidate_blocks(packed, cols):
+        keep = _lowest_gaps(packed, cols, us, ws) <= 1
         for u, w in zip(us[keep].tolist(), ws[keep].tolist()):
             bucket = _diagonal_bucket(g, u, w, 2)
             if len(bucket) != 1 or bucket[0] < (u, w):
@@ -189,24 +192,24 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
                 yield u, x, w, y
 
 
-def _lowest_gaps(packed: np.ndarray, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+def _lowest_gaps(packed: np.ndarray, cols: np.ndarray, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """The number of non-adjacent pairs among the three lowest common
     neighbors of each candidate diagonal ``(us[i], ws[i])``, or among its two
-    when it has only two: the lowest bits of the words flagged as holding one."""
-    words = packed.view(np.uint64)
+    when it has only two: the lowest bits of the words flagged as holding one.
+    Words are gathered from ``cols``, the ``_word_columns`` of ``packed``."""
     lines = np.arange(len(us))
-    filled = np.empty((words.shape[1], len(us)), dtype=bool)  # per word and candidate
-    for k in range(len(filled)):
-        np.not_equal(words[us, k] & words[ws, k], 0, out=filled[k])
+    filled = np.empty((len(cols), len(us)), dtype=bool)  # per word and candidate
+    for k, line in enumerate(cols):
+        np.not_equal(line[us] & line[ws], 0, out=filled[k])
     at = filled.argmax(axis=0)
-    word = words[us, at] & words[ws, at]
+    word = cols[at, us] & cols[at, ws]
     lowest = []
     for _ in range(3):
         if lowest:  # a spent word gives way to the next flagged one, or to none
             spent = lines[word == 0]
             filled[at[spent], spent] = False
             at[spent] = filled[:, spent].argmax(axis=0)
-            fresh = words[us[spent], at[spent]] & words[ws[spent], at[spent]]
+            fresh = cols[at[spent], us[spent]] & cols[at[spent], ws[spent]]
             word[spent] = np.where(filled[at[spent], spent], fresh, 0)  # not a stale word
         found = word != 0
         low = word & (~word + 1)

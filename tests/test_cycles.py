@@ -29,6 +29,7 @@ from morsegraph.cycles import (
     _make_bad_bits,
     _morse_cycles,
     _packed_rows,
+    _word_columns,
 )
 from helpers import (
     brute_induced_cycles,
@@ -163,7 +164,8 @@ def test_square_prefilter_paths_agree():
             for u, w in combinations(range(n), 2)
             if w not in nbrs[u] and len(nbrs[u] & nbrs[w]) >= 2
         ]
-        pieces = list(_candidate_blocks(_packed_rows(g)))
+        packed = _packed_rows(g)
+        pieces = list(_candidate_blocks(packed, _word_columns(packed)))
         assert all(len(us) == len(ws) <= _PAIR_CHUNK for us, ws in pieces)
         assert [pair for us, ws in pieces for pair in zip(us.tolist(), ws.tolist())] == brute
         assert brute or n < 3
@@ -181,7 +183,8 @@ def test_first_diagonal_candidate_memory():
     g = sample_gnp(n, 0.03, 11)
     tracemalloc.start()
     try:
-        us, ws = next(_candidate_blocks(_packed_rows(g)))
+        packed = _packed_rows(g)
+        us, ws = next(_candidate_blocks(packed, _word_columns(packed)))
         next(zip(us.tolist(), ws.tolist()))
         _, peak = tracemalloc.get_traced_memory()
     finally:

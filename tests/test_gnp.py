@@ -1,5 +1,9 @@
+import hashlib
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -108,6 +112,11 @@ REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p a
     (sample_gnp, (30, 0.5, 2**64)),  # would alias 0
     (trial_seed, (-1, 0)),
     (trial_seed, (2**64, 0)),
+    (Xoshiro256StarStar, (-1,)),
+    (Xoshiro256StarStar, (2**64,)),
+    (Xoshiro256StarStar, (1.0,)),
+    (splitmix64_stream, (-1, 4)),
+    (splitmix64_stream, (2**64, 4)),
     (density_from_probability, (0.5, 2.5)),
     (density_from_probability, (0.5, True)),
     (density_from_coefficient, (0.5, 2.5)),
@@ -181,6 +190,77 @@ def test_kernel_and_python_paths_agree():
     for n, p, seed in cases:
         threshold = _threshold_u64(p)
         assert _sample_rows_numpy(n, threshold, seed) == _sample_rows_python(n, threshold, seed)
+
+
+def _rows_digest(g):
+    width = (g.n + 7) // 8
+    return hashlib.sha256(b"".join(row.to_bytes(width, "little") for row in g.rows)).hexdigest()
+
+
+def test_sample_digest_golden():
+    # regression pin for the numpy lanes at sizes where the pure-Python spec
+    # is too slow to compare against: the edge count and the SHA-256 of the
+    # rows as little-endian bytes, recorded before the lane kernel stepped
+    # its state in place
+    cases = [
+        (2048, density_from_coefficient(0.5, 2048).p, trial_seed(7, 0), 64049,
+         "3d55473e1776d9a494572eb2e93b5019b13819713c52b36afd5cca3848801119"),
+        (2048, 0.3, 12345, 630194,
+         "4aad433c4c9760580ed4b30fb3f60d9ef1fbabb98bb071d02a6fa60e2a375374"),
+        (4096, density_from_coefficient(0.9, 4096).p, trial_seed(2201, 3), 340238,
+         "d3726cb6c99c2663fa7825cc6100b8a8b2639251d2ad2f371b222671bd13b503"),
+        (4096, 0.001, MASK64, 8250,
+         "c295c3f388f74f81316c77fb526beb15a081e2ec0acd363270bcb6ed24161137"),
+    ]
+    for n, p, seed, m, digest in cases:
+        g = sample_gnp(n, p, seed)
+        assert (g.m, _rows_digest(g)) == (m, digest)
+
+
+def test_concurrent_sampling_matches_sequential():
+    # the lanes' scratch arrays belong to one call: two threads sampling at
+    # once, with numpy releasing the interpreter lock in every step, get the
+    # rows they get one after the other
+    jobs = [[(1500, 0.05, seed), (1025, 0.3, seed + 2)] for seed in (1, 2)]
+    expected = [[sample_gnp(*job).rows for job in batch] for batch in jobs]
+    got = [None, None]
+
+    def work(i):
+        got[i] = [sample_gnp(*job).rows for job in jobs[i] * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [batch * 3 for batch in expected]
+
+
+def test_sampler_memory():
+    # a call holds the packed words and the Python rows, n * n / 8 bytes
+    # each, and one block of lanes: its draws' hit flags and indices and the
+    # jump-ahead temporaries that seed it, under 4 MiB for 4096 lanes of 128
+    # draws; a block of 16384 lanes takes 20 MiB in all here
+    n = 4096
+    p = density_from_coefficient(0.9, n).p
+    sample_gnp(n, p, trial_seed(11, 0))  # builds the cached jump tables
+    tracemalloc.start()
+    try:
+        sample_gnp(n, p, trial_seed(11, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n // 4 + 4 * 2**20
+    # perfbench's sampler-lane-block-start fault (a block starting from the
+    # wrong lane of the one before) shows only in a graph spanning two
+    # blocks; its oracle samples n = 1025
+    assert _LANE_BLOCK * _LANE_CHUNK < 1025 * 1024 // 2
 
 
 def test_lane_jumps_match_spec_generator():
