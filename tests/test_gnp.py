@@ -246,7 +246,7 @@ def test_sampler_memory():
     # a call holds the packed words and the Python rows, n * n / 8 bytes
     # each, and one block of lanes: its draws' hit flags and indices and the
     # jump-ahead temporaries that seed it, under 4 MiB for 4096 lanes of 128
-    # draws; a block of 16384 lanes takes 20 MiB in all here
+    # draws; a block of 16384 lanes peaks at 20 MiB in this test (numpy 2.4)
     n = 4096
     p = density_from_coefficient(0.9, n).p
     sample_gnp(n, p, trial_seed(11, 0))  # builds the cached jump tables
