@@ -33,12 +33,17 @@ every pair of its vertices that is non-adjacent in the host has a clique
 as common neighborhood (an empty bucket).  The test does not depend on the
 rest of the cycle, so its answers are kept in per-vertex bitsets --
 ``known[u]``, the vertices tested against ``u``, and ``bad[u]``, those that
-failed -- filled lazily, only for the bits a query asks for.  When a vertex
-is pushed onto the path, the candidates that would extend or close it are
-masked once against each middle path vertex (and extending candidates
-against the anchor), so popping a candidate costs one bit test and a failed
-pair cuts every branch through it.  A path of L vertices closes an
-(L + 1)-cycle, so paths stop growing at kmax - 1 vertices.
+failed -- filled lazily, only for the bits a query asks for.  A pair with
+fewer than two common neighbors always passes, so only the vertices with two
+neighbors in N(u), found by a running OR over the rows of N(u), reach the
+clique test.  When a vertex is pushed onto the path, the candidates that
+would extend or close it are masked once against each middle path vertex
+(and extending candidates against the anchor), so popping a candidate costs
+one bit test and a failed pair cuts every branch through it.  A path of L
+vertices closes an (L + 1)-cycle, so the last level, paths of kmax - 1
+vertices that can only close a cycle, is never pushed: a path of kmax - 2
+vertices tests the closing vertices of all its children as one mask and
+walks them in place.
 """
 
 from __future__ import annotations
@@ -323,25 +328,51 @@ def _make_bad_bits(g: Graph):
     neighborhood with ``u`` is not a clique; every ``w`` in ``need`` must be
     non-adjacent to ``u``.  ``known[u]`` holds the vertices already tested
     against ``u`` and ``bad[u]`` those that failed, so only the bits a query
-    asks for and has not asked before are tested.  The test does not depend
-    on any surrounding cycle, so a failed pair rules out every Morse cycle of
+    asks for and has not asked before are tested.  A pair with fewer than two
+    common neighbors passes without a clique test: only the bits of
+    ``two[u]``, the vertices seen with two neighbors in N(u), reach it.
+    ``two[u]`` and ``one[u]`` (those seen with one) come from a running OR
+    over the rows of N(u); a query folds in the neighbors in ``left[u]``
+    only until its bits are all in ``two[u]`` or N(u) is used up, so in a
+    dense graph a few rows settle it.  The relation is symmetric, so
+    ``known[w]`` learns only the pairs tested.  The test does not depend on
+    any surrounding cycle, so a failed pair rules out every Morse cycle of
     length >= 5 through it.
     """
     rows = g.rows
     known = [0] * g.n
     bad = [0] * g.n
+    one = [0] * g.n
+    two = [0] * g.n
+    left = list(rows)
 
     def bad_bits(u: int, need: int) -> int:
         todo = need & ~known[u]
         if todo:
             known[u] |= todo
+            both, rest = two[u], left[u]
+            if rest and todo & ~both:
+                seen = one[u]
+                while rest and todo & ~both:
+                    v = rest & -rest
+                    rest ^= v
+                    r = rows[v.bit_length() - 1]
+                    both |= seen & r
+                    seen |= r
+                one[u], two[u], left[u] = seen, both, rest
+            todo &= both
             bit_u = 1 << u
-            for w in iter_bits(todo):
+            failed = 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                w = low.bit_length() - 1
                 known[w] |= bit_u
                 hit = is_clique_mask(g, rows[u] & rows[w])
                 if not hit:
-                    bad[u] |= 1 << w
+                    failed |= low
                     bad[w] |= bit_u
+            bad[u] |= failed
         return bad[u] & need
 
     return bad_bits
@@ -361,6 +392,16 @@ def _morse_cycles(
     admissible length, reflected orientations included).  A cycle's closing
     candidates up to and including it are paid before it is yielded, so a
     consumer that stops there pays exactly what it took to reach it.
+
+    A node is pushed as a level only if it has a live child (one passing
+    the pair test) that can still extend; others are closed where they are
+    popped.  The children of a path of kmax - 2 vertices can only close
+    kmax-cycles, so they are walked at the parent, not pushed: the closing
+    candidates of all live children are tested as one mask against each
+    middle vertex, which asks the pair test the same pairs as one test per
+    child would, and each child's cycles come in the order its pop would
+    give.  Either way the units are those the pops would pay, in the same
+    sums at every cycle, paid in bulk between cycles.
     """
     from .squares import isolated_squares
 
@@ -403,20 +444,23 @@ def _morse_cycles(
                 path_mask ^= 1 << path.pop()
                 continue
             low = live & -live
-            spend((rest & ((low << 1) - 1)).bit_count())
+            # units owed since the last payment; paid before each cycle, and
+            # once a node is pushed or closed
+            owed = (rest & ((low << 1) - 1)).bit_count()
             todo[-1] = rest & -(low << 1)
+            x = low.bit_length() - 1
             new_mid = mids[-1] | (rows[path[-1]] if len(path) >= 2 else 0)
-            path.append(low.bit_length() - 1)
+            path.append(x)
             path_mask |= low
-            mids.append(new_mid)
             length = len(path)
-            # a path of `length` vertices closes a (length + 1)-cycle; a child
-            # is worth pushing only if it can still close one of length <= kmax
-            ext = rows[path[-1]] & high & ~new_mid & ~path_mask
-            cand = ext & ~ra if length + 2 <= kmax else 0
-            closures = ext & ra if kmin <= length + 1 <= kmax else 0
+            # a path of `length` <= kmax - 2 vertices closes a (length + 1)-cycle
+            # and its children a (length + 2)-cycle of length <= kmax
+            ext = rows[x] & high & ~new_mid & ~path_mask
+            cand = ext & ~ra
+            closures = ext & ra if kmin <= length + 1 else 0
             # closures at or below path[1] are the reflected orientation
-            above = closures & -(2 << path[1])
+            floor = -(2 << path[1])
+            above = closures & floor
             # every candidate is non-adjacent to each middle vertex, and a
             # child also to the anchor; all these pairs persist into any
             # cycle the candidate closes, so drop those that fail the test
@@ -431,12 +475,61 @@ def _morse_cycles(
             while hits:
                 z = hits & -hits
                 hits ^= z
-                spend((closures & ((z << 1) - 1)).bit_count())
+                spend(owed + (closures & ((z << 1) - 1)).bit_count())
+                owed = 0
                 closures &= -(z << 1)
                 yield (*path, z.bit_length() - 1)
-            spend(closures.bit_count())
-            todo.append(cand)
-            keeps.append(keep)
+            owed += closures.bit_count()
+            live = cand & keep
+            if live and length + 2 < kmax:
+                spend(owed)
+                mids.append(new_mid)
+                todo.append(cand)
+                keeps.append(keep)
+                continue
+            # x is closed here: it has no live child, or its children close
+            # kmax-cycles only.  x and every child are middles of those, and
+            # each closing vertex z is a neighbor of the anchor; z passes if
+            # its pairs with all of path[1:] do
+            if live:
+                close = ra & high & ~(new_mid | rows[x]) & ~path_mask
+                reach = closing = 0
+                rest = live
+                while rest:
+                    y = rest & -rest
+                    rest ^= y
+                    r = rows[y.bit_length() - 1] & close
+                    reach |= r
+                    closing += r.bit_count()
+                good = reach & floor
+                for u in path[1:]:
+                    if not good:
+                        break
+                    good &= ~bad_bits(u, good)
+                if not good:
+                    owed += closing
+                else:
+                    # some child closes a cycle: pay in pop order up to each one
+                    rest = cand
+                    for y in iter_bits(live):
+                        r = rows[y] & close
+                        hits = r & good
+                        if hits:
+                            popped = rest & ((2 << y) - 1)
+                            rest ^= popped
+                            owed += popped.bit_count()
+                        while hits:
+                            z = hits & -hits
+                            hits ^= z
+                            spend(owed + (r & ((z << 1) - 1)).bit_count())
+                            owed = 0
+                            r &= -(z << 1)
+                            yield (*path, y, z.bit_length() - 1)
+                        owed += r.bit_count()
+                    cand = rest
+            spend(owed + cand.bit_count())
+            path.pop()
+            path_mask ^= low
 
 
 def morse_pruned_cycle_search(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations, islice
@@ -21,6 +22,7 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
+import morsegraph.cycles as cycles_module
 from morsegraph.cycles import (
     _BLOCK_CELLS,
     _PAIR_CHUNK,
@@ -286,13 +288,45 @@ def test_search_budget_meters_only_the_dfs():
         morse_pruned_cycle_search(g, 4, 5, budget=17)
 
 
-@pytest.mark.parametrize("n, p, seed", [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)])
-def test_bad_bits_match_brute_force(n, p, seed):
-    g = sample_gnp(n, p, trial_seed(5150, seed))
+def _planted_pairs_graph(n, seed):
+    """A sparse random graph on the vertices below n - 13 and, on the top 13
+    (straddling a 64-bit word boundary for n = 65 and 129), a gadget whose
+    pairs (u, w) with u = n - 13 have 0, 1, 2, 2, 3 and 3 common neighbors,
+    of which the second 2 and the second 3 are not cliques; u lies in a K4."""
+    s = list(range(n - 13, n))
+    u = s[0]
+    rng = random.Random(seed)
+    edges = [e for e in combinations(range(n - 13), 2) if rng.random() < 0.08]
+    edges += [(u, s[2]), (s[2], s[3])]  # w = s[3]: one common neighbor
+    edges += [(x, y) for x, y in combinations([u, s[4], s[5], s[6]], 2)]  # the K4
+    edges += [(s[7], s[4]), (s[7], s[5])]  # two, adjacent
+    edges += [(u, s[9]), (s[8], s[2]), (s[8], s[9])]  # two, non-adjacent
+    edges += [(s[10], s[4]), (s[10], s[5]), (s[10], s[6])]  # the K4's triangle
+    edges += [(s[11], s[2]), (s[11], s[4]), (s[11], s[9])]  # three, not a clique
+    edges += [(s[12], x) for x in (s[2], s[4], s[5], s[6], s[9])]  # five
+    return build_graph(n, edges), u, [s[1], s[3], s[7], s[8], s[10], s[11]]
+
+
+# p = None: the planted-pairs graph at n, sizes on both sides of 64 and 128
+BAD_BITS_GRAPHS = [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)]
+BAD_BITS_GRAPHS += [(63, None, 5), (64, None, 6), (65, None, 7), (129, None, 8)]
+
+
+@pytest.mark.parametrize("n, p, seed", BAD_BITS_GRAPHS)
+def test_bad_bits_match_brute_force(monkeypatch, n, p, seed):
+    if p is None:
+        g, u0, planted = _planted_pairs_graph(n, seed)
+    else:
+        g = sample_gnp(n, p, trial_seed(5150, seed))
     nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
 
     def clique(vertices):
         return all(b in nbrs[a] for a, b in combinations(vertices, 2))
+
+    if p is None:
+        commons = [nbrs[u0] & nbrs[w] for w in planted]
+        assert [len(c) for c in commons] == [0, 1, 2, 2, 3, 3]
+        assert [clique(c) for c in commons] == [True, True, True, False, True, False]
 
     rng = random.Random(seed)
     queries = []
@@ -301,11 +335,24 @@ def test_bad_bits_match_brute_force(n, p, seed):
         for _ in range(4):
             need = rng.sample(far, rng.randint(0, len(far)))
             queries += [(u, need), (u, need)]
+    if p is None:
+        queries += [(u0, [w]) for w in planted] + [(w, [u0]) for w in planted]
     rng.shuffle(queries)
+    # a pair with fewer than two common neighbors never reaches the clique test
+    small = []
+    is_clique_mask = cycles_module.is_clique_mask
+
+    def counted(graph, mask):
+        if mask.bit_count() < 2:
+            small.append(mask)
+        return is_clique_mask(graph, mask)
+
+    monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
     bad_bits = _make_bad_bits(g)
     for u, need in queries:
         want = sum(1 << w for w in need if not clique(nbrs[u] & nbrs[w]))
         assert bad_bits(u, sum(1 << w for w in need)) == want
+    assert small == []
 
 
 # recorded from the earlier per-pair dict memo engine; a faster pair test
@@ -325,6 +372,47 @@ def test_pruned_search_golden(n, c, seed, first58, first5, count5):
     w = morse_pruned_cycle_search(g, 5, 5)
     assert (w and w.vertices) == first5
     assert count_morse_cycles(g, 5) == count5
+
+
+# smallest sufficient budgets, recorded before the DFS closed its last path
+# level at the parent: how the units are paid may change, their sum may not
+BUDGET_GOLDEN = [
+    (128, 0.5, 1, 23449, 78),
+    (192, 0.95, 3, 63098, 63359),
+    (256, 0.5, 4, 130758, 1150),
+]
+
+
+@pytest.mark.parametrize("n, c, seed, count_budget, search_budget", BUDGET_GOLDEN)
+def test_smallest_sufficient_budgets(n, c, seed, count_budget, search_budget):
+    golden = {(g_n, g_c, g_seed): rest for g_n, g_c, g_seed, *rest in PRUNED_GOLDEN}
+    first58, _, count5 = golden[n, c, seed]
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    assert count_morse_cycles(g, 5, budget=count_budget) == count5
+    with pytest.raises(SearchBudgetExceeded):
+        count_morse_cycles(g, 5, budget=count_budget - 1)
+    w = morse_pruned_cycle_search(g, 5, 8, budget=search_budget)
+    assert (w and w.vertices) == first58
+    with pytest.raises(SearchBudgetExceeded):
+        morse_pruned_cycle_search(g, 5, 8, budget=search_budget - 1)
+
+
+# sha256 of repr(list(_morse_cycles(g, 5, kmax))), recorded before the DFS
+# closed its last path level at the parent: the order is pinned, not just the set
+STREAM_GOLDEN = [
+    (1, 5, 296, "41316a9d5ac7b2f207bf0f53a4124b2c20199e49778ce72b9d0c47cddc6bce97"),
+    (1, 7, 987, "f56a2ff27881fd99d7988954b0ff2bf91ea79bf1926e695ee6862f0059006323"),
+    (2, 5, 220, "905da9ce1d8ac13ba7b91bf89079198296b335d0277d977fcad05bfc4af81a3e"),
+    (2, 7, 703, "c6448d6a08e1fb89a179664be183d28038d4e307d5df7f074e4cb48ffe3da2c8"),
+]
+
+
+@pytest.mark.parametrize("seed, kmax, count, digest", STREAM_GOLDEN)
+def test_morse_cycle_stream_order_golden(seed, kmax, count, digest):
+    g = sample_gnp(200, density_from_coefficient(0.5, 200).p, trial_seed(2718, seed))
+    got = list(_morse_cycles(g, 5, kmax))
+    assert len(got) == count
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
 
 def test_search_on_adversarial_hosts():
