@@ -374,8 +374,8 @@ def test_pruned_search_golden(n, c, seed, first58, first5, count5):
     assert count_morse_cycles(g, 5) == count5
 
 
-# smallest sufficient budgets, recorded before the DFS closed its last path
-# level at the parent: how the units are paid may change, their sum may not
+# smallest sufficient budgets, recorded while the DFS still pushed its last
+# path level: how the units are paid may change, their sums may not
 BUDGET_GOLDEN = [
     (128, 0.5, 1, 23449, 78),
     (192, 0.95, 3, 63098, 63359),
@@ -397,8 +397,8 @@ def test_smallest_sufficient_budgets(n, c, seed, count_budget, search_budget):
         morse_pruned_cycle_search(g, 5, 8, budget=search_budget - 1)
 
 
-# sha256 of repr(list(_morse_cycles(g, 5, kmax))), recorded before the DFS
-# closed its last path level at the parent: the order is pinned, not just the set
+# sha256 of repr(list(_morse_cycles(g, 5, kmax))), recorded while the DFS
+# still pushed its last path level: the order is pinned, not just the set
 STREAM_GOLDEN = [
     (1, 5, 296, "41316a9d5ac7b2f207bf0f53a4124b2c20199e49778ce72b9d0c47cddc6bce97"),
     (1, 7, 987, "f56a2ff27881fd99d7988954b0ff2bf91ea79bf1926e695ee6862f0059006323"),
