@@ -9,9 +9,11 @@ product would degenerate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, OutOfDomain
+from .gnp import _integer
 
 PENTAGON_COEFFICIENT = math.sqrt(0.5)
 SQUARE_COEFFICIENT = 1.0
@@ -35,8 +37,16 @@ class ThresholdSet:
     cfs: float
 
 
+def _vertex_count(n) -> int:
+    """``n`` as an int that a float can hold."""
+    if (n := _integer("vertex count", n)) > sys.float_info.max:
+        raise InvalidParameter(f"vertex count must be at most {sys.float_info.max:g}")
+    return n
+
+
 def thresholds(n: int) -> ThresholdSet:
     """Evaluate the three threshold densities at ``n`` (natural logarithm)."""
+    n = _vertex_count(n)
     if n < 3:
         raise InvalidParameter(f"thresholds need n >= 3, got {n}")
     base = math.sqrt(math.log(n) / n)
@@ -66,6 +76,7 @@ def conditional_link_probability(p: float, which: int) -> float:
     """
     if not 0.0 <= p < 1.0:
         raise InvalidParameter(f"need 0 <= p < 1, got {p}")
+    which = _integer("which", which)
     if which == 1:
         return p * (1.0 - p) / (1.0 + p - p * p)
     if which == 2:
@@ -89,8 +100,10 @@ def _first_moment(n: int, p: float, k: int, orders: float, pairs: int) -> float:
     A k-set carries ``orders`` induced k-cycles, each with k edges and
     ``pairs`` non-adjacent vertex pairs; the trailing factor is the
     probability, to second order in p, that no outside vertex is a common
-    neighbor of one of those pairs.  Requires pairs * p^2 < 1.
+    neighbor of one of those pairs.  Requires pairs * p^2 < 1, and a value
+    within the float range.
     """
+    n = _vertex_count(n)
     if n < k:
         raise InvalidParameter(f"need n >= {k}, got {n}")
     if not 0.0 <= p <= 1.0:
@@ -106,7 +119,10 @@ def _first_moment(n: int, p: float, k: int, orders: float, pairs: int) -> float:
         + pairs * math.log1p(-p)
         + (n - k) * math.log1p(-pairs * p * p)
     )
-    return math.exp(log_mu)
+    try:
+        return math.exp(log_mu)
+    except OverflowError:
+        raise OutOfDomain(f"the first moment at p={p} exceeds the float range") from None
 
 
 def expected_morse_pentagons(n: int, p: float) -> float:
@@ -145,6 +161,7 @@ def clique_link_probability(n: int, k: int, p: float) -> float:
 
         sum_{l=0}^{4} C(n-k, l) p^(2l) (1-p^2)^(n-k-l) p^(C(l+1,2))
     """
+    n, k = _vertex_count(n), _integer("cycle length", k)
     if k < 5:
         raise InvalidParameter(f"need k >= 5, got {k}")
     if k > n:
@@ -172,8 +189,9 @@ def long_cycle_bound(n: int, p: float, k: int) -> float:
     probability that an induced k-cycle exists.
 
     A Markov bound: values above 1 carry no information and are reported
-    as-is.
+    as-is, up to the float range.
     """
+    n, k = _vertex_count(n), _integer("cycle length", k)
     if k < 3:
         raise InvalidParameter(f"need k >= 3, got {k}")
     if k > n:
@@ -183,15 +201,15 @@ def long_cycle_bound(n: int, p: float, k: int) -> float:
     if p == 0.0:
         return 0.0
     chords = math.comb(k, 2) - k
-    if p == 1.0:
-        if chords > 0:
-            return 0.0
-        return math.exp(_log_comb(n, k) + math.lgamma(k + 1) - math.log(2 * k))
-    log_value = (
-        _log_comb(n, k)
-        + math.lgamma(k + 1)
-        - math.log(2 * k)
-        + k * math.log(p)
-        + chords * math.log1p(-p)
-    )
-    return math.exp(log_value)
+    if p == 1.0 and chords > 0:
+        return 0.0
+    try:
+        return math.exp(
+            _log_comb(n, k)
+            + math.lgamma(k + 1)
+            - math.log(2 * k)
+            + k * math.log(p)
+            + (chords * math.log1p(-p) if chords else 0.0)
+        )
+    except OverflowError:
+        raise OutOfDomain(f"the bound at p={p} exceeds the float range") from None

@@ -36,14 +36,14 @@ rest of the cycle, so its answers are kept in per-vertex bitsets --
 failed -- filled lazily, only for the bits a query asks for.  A pair with
 fewer than two common neighbors always passes, so only the vertices with two
 neighbors in N(u), found by a running OR over the rows of N(u), reach the
-clique test.  When a vertex is pushed onto the path, the candidates that
-would extend or close it are masked once against each middle path vertex
-(and extending candidates against the anchor), so popping a candidate costs
-one bit test and a failed pair cuts every branch through it.  A path of L
-vertices closes an (L + 1)-cycle, so the last level, paths of kmax - 1
-vertices that can only close a cycle, is never pushed: a path of kmax - 2
-vertices tests the closing vertices of all its children as one mask and
-walks them in place.
+clique test.  A node's cycles are tested at its parent: expanding a vertex
+masks its children once against each middle path vertex and the anchor,
+then ORs the closing vertices of all live children into one mask and tests
+it against each middle vertex and the expanded one.  Popping a child costs
+one bit test, its cycles are read off that mask, and a failed pair cuts
+every branch through it.  A path of L vertices closes an (L + 1)-cycle, so
+a child is expanded only while its children can close a cycle of length
+<= kmax.
 """
 
 from __future__ import annotations
@@ -393,15 +393,13 @@ def _morse_cycles(
     candidates up to and including it are paid before it is yielded, so a
     consumer that stops there pays exactly what it took to reach it.
 
-    A node is pushed as a level only if it has a live child (one passing
-    the pair test) that can still extend; others are closed where they are
-    popped.  The children of a path of kmax - 2 vertices can only close
-    kmax-cycles, so they are walked at the parent, not pushed: the closing
-    candidates of all live children are tested as one mask against each
-    middle vertex, which asks the pair test the same pairs as one test per
-    child would, and each child's cycles come in the order its pop would
-    give.  Either way the units are those the pops would pay, in the same
-    sums at every cycle, paid in bulk between cycles.
+    Every node's cycles are tested at its parent, as one mask over the
+    closing vertices of all its live children (those passing the pair
+    test), which asks the pair test the same pairs as one test per child
+    would; a popped child yields its cycles from that mask in order.  A
+    node whose children can only close kmax-cycles, none passing, is closed
+    at once without pushing them.  The units are those the pops would pay,
+    in the same sums at every cycle, paid in bulk between cycles.
     """
     from .squares import isolated_squares
 
@@ -426,108 +424,83 @@ def _morse_cycles(
         high = -1 << (a + 1)
         path = [a]
         path_mask = 1 << a
-        mids = [0]
-        # per level: the candidates not yet popped, and those passing the pair
-        # test.  Every popped candidate costs one budget unit, passing or not;
-        # the failed ones are paid in bulk, which changes nothing since no
-        # answer can come between them.
-        todo = [ra & high]
-        keeps = [-1]
-        while todo:
-            rest = todo[-1]
-            live = rest & keeps[-1]
+        # per level: the candidates not yet popped and those passing the pair
+        # test, the vertices that would close a candidate's cycle and those
+        # passing, and the rows of the middle path vertices.  Every popped
+        # candidate costs one budget unit, passing or not; the failed ones
+        # are paid in bulk, which changes nothing since no answer can come
+        # between them.
+        levels = [[ra & high, -1, 0, 0, 0]]
+        while levels:
+            level = levels[-1]
+            rest, keep, close, good, mid = level
+            live = rest & keep
             if not live:
                 spend(rest.bit_count())
-                todo.pop()
-                keeps.pop()
-                mids.pop()
+                levels.pop()
                 path_mask ^= 1 << path.pop()
                 continue
             low = live & -live
             # units owed since the last payment; paid before each cycle, and
             # once a node is pushed or closed
             owed = (rest & ((low << 1) - 1)).bit_count()
-            todo[-1] = rest & -(low << 1)
+            level[0] = rest & -(low << 1)
             x = low.bit_length() - 1
-            new_mid = mids[-1] | (rows[path[-1]] if len(path) >= 2 else 0)
+            closing = rows[x] & close
+            hits = closing & good
+            while hits:
+                z = hits & -hits
+                hits ^= z
+                spend(owed + (closing & ((z << 1) - 1)).bit_count())
+                owed = 0
+                closing &= -(z << 1)
+                yield (*path, x, z.bit_length() - 1)
+            owed += closing.bit_count()
+            # a path of L vertices closes an (L + 1)-cycle: x's children close
+            # child_k-cycles
+            child_k = len(path) + 3
+            if child_k > kmax:
+                spend(owed)
+                continue
+            if len(path) >= 2:
+                mid |= rows[path[-1]]
             path.append(x)
             path_mask |= low
-            length = len(path)
-            # a path of `length` <= kmax - 2 vertices closes a (length + 1)-cycle
-            # and its children a (length + 2)-cycle of length <= kmax
-            ext = rows[x] & high & ~new_mid & ~path_mask
-            cand = ext & ~ra
-            closures = ext & ra if kmin <= length + 1 else 0
-            # closures at or below path[1] are the reflected orientation
-            floor = -(2 << path[1])
-            above = closures & floor
-            # every candidate is non-adjacent to each middle vertex, and a
-            # child also to the anchor; all these pairs persist into any
-            # cycle the candidate closes, so drop those that fail the test
-            keep = cand | above
+            # every child is non-adjacent to each middle vertex and to the
+            # anchor, and every closing vertex to each middle vertex and x;
+            # all these pairs persist into any cycle through them, so drop
+            # those that fail the test
+            cand = keep = rows[x] & high & ~mid & ~ra & ~path_mask
             for u in path[1:-1]:
                 if not keep:
                     break
                 keep &= ~bad_bits(u, keep)
-            if keep & cand:
-                keep &= ~bad_bits(a, keep & cand)
-            hits = above & keep
-            while hits:
-                z = hits & -hits
-                hits ^= z
-                spend(owed + (closures & ((z << 1) - 1)).bit_count())
-                owed = 0
-                closures &= -(z << 1)
-                yield (*path, z.bit_length() - 1)
-            owed += closures.bit_count()
-            live = cand & keep
-            if live and length + 2 < kmax:
-                spend(owed)
-                mids.append(new_mid)
-                todo.append(cand)
-                keeps.append(keep)
-                continue
-            # x is closed here: it has no live child, or its children close
-            # kmax-cycles only.  x and every child are middles of those, and
-            # each closing vertex z is a neighbor of the anchor; z passes if
-            # its pairs with all of path[1:] do
-            if live:
-                close = ra & high & ~(new_mid | rows[x]) & ~path_mask
-                reach = closing = 0
-                rest = live
+            if keep:
+                keep &= ~bad_bits(a, keep)
+            close = good = units = 0
+            if keep and kmin <= child_k:
+                close = ra & high & ~(mid | rows[x]) & ~path_mask
+                rest = keep
                 while rest:
                     y = rest & -rest
                     rest ^= y
                     r = rows[y.bit_length() - 1] & close
-                    reach |= r
-                    closing += r.bit_count()
-                good = reach & floor
+                    good |= r
+                    units += r.bit_count()
+                # closing vertices at or below path[1] are the reflected
+                # orientation
+                good &= -(2 << path[1])
                 for u in path[1:]:
                     if not good:
                         break
                     good &= ~bad_bits(u, good)
-                if not good:
-                    owed += closing
-                else:
-                    # some child closes a cycle: pay in pop order up to each one
-                    rest = cand
-                    for y in iter_bits(live):
-                        r = rows[y] & close
-                        hits = r & good
-                        if hits:
-                            popped = rest & ((2 << y) - 1)
-                            rest ^= popped
-                            owed += popped.bit_count()
-                        while hits:
-                            z = hits & -hits
-                            hits ^= z
-                            spend(owed + (r & ((z << 1) - 1)).bit_count())
-                            owed = 0
-                            r &= -(z << 1)
-                            yield (*path, y, z.bit_length() - 1)
-                        owed += r.bit_count()
-                    cand = rest
-            spend(owed + cand.bit_count())
+            if good or keep and child_k < kmax:
+                spend(owed)
+                levels.append([cand, keep, close, good, mid])
+                continue
+            # x is closed here: no child passes, or its children close
+            # kmax-cycles only and none of them passes
+            spend(owed + cand.bit_count() + units)
             path.pop()
             path_mask ^= low
 

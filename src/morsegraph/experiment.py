@@ -144,6 +144,12 @@ def evaluate_property(g: Graph, prop: PropertyKind) -> bool | int:
 # ---------------------------------------------------------------------------
 
 
+def _columns(record: type) -> tuple[tuple[str, str], ...]:
+    """A record dataclass's output columns as (name, field), in field order;
+    ``property_tag`` is written as ``property``."""
+    return tuple(("property" if f.name == "property_tag" else f.name, f.name) for f in fields(record))
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one sampled graph evaluated under one property."""
@@ -159,20 +165,13 @@ class TrialRecord:
     elapsed_ms: float
 
     def to_json_line(self) -> str:
-        # elapsed_ms is deliberately the last key so that determinism
+        # elapsed_ms is deliberately the last field so that determinism
         # comparisons can strip it with a plain suffix split.
-        payload = {
-            "n": self.n,
-            "c": self.c,
-            "p": self.p,
-            "property": self.property_tag,
-            "seed": self.seed,
-            "trial": self.trial,
-            "outcome": self.outcome,
-            "error": self.error,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        payload = {name: getattr(self, attr) for name, attr in _TRIAL_COLUMNS}
         return json.dumps(payload, separators=(",", ":"))
+
+
+_TRIAL_COLUMNS = _columns(TrialRecord)
 
 
 def run_trial(
@@ -236,7 +235,7 @@ class SweepConfig:
     def from_mapping(cls, doc: Mapping[str, Any]) -> "SweepConfig":
         if not isinstance(doc, Mapping):
             raise ConfigError("<document>", f"need a JSON object, got {type(doc).__name__}")
-        known = {"ns", "coefficients", "ps", "properties", "trials", "seed", "z", "out"}
+        known = {f.name for f in fields(cls)}
         for key in doc:
             if key not in known:
                 raise ConfigError(key, "unknown field")
@@ -323,9 +322,7 @@ class CellSummary:
 
 # The summary's columns as (name, CellSummary field), in output order; the
 # CSV leaves out "errors".
-_SUMMARY_COLUMNS = tuple(
-    ("property" if f.name == "property_tag" else f.name, f.name) for f in fields(CellSummary)
-)
+_SUMMARY_COLUMNS = _columns(CellSummary)
 
 
 @dataclass(frozen=True)

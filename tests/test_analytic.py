@@ -70,6 +70,10 @@ def test_conditional_link_probability_validation():
         conditional_link_probability(-0.1, 2)
     with pytest.raises(InvalidParameter):
         conditional_link_probability(0.5, 4)
+    with pytest.raises(InvalidParameter):
+        conditional_link_probability(0.5, 1.0)  # which must be an integer
+    with pytest.raises(InvalidParameter):
+        conditional_link_probability(0.5, True)
 
 
 def test_conditional_link_probability_small_p_limits():
@@ -93,6 +97,14 @@ def test_pentagon_expectation_domain():
         expected_morse_pentagons(4, 0.1)
     with pytest.raises(InvalidParameter):
         expected_morse_pentagons(10, 1.2)
+    with pytest.raises(InvalidParameter):
+        expected_morse_pentagons(10.5, 0.1)  # n must be an integer
+    with pytest.raises(InvalidParameter):
+        expected_morse_pentagons(True, 0.1)
+    with pytest.raises(InvalidParameter):
+        expected_morse_pentagons(10**400, 0.001)  # n past the float range
+    with pytest.raises(OutOfDomain):
+        expected_morse_pentagons(10**300, 1e-150)  # value past the float range
 
 
 def test_square_expectation_values():
@@ -108,6 +120,8 @@ def test_square_expectation_domain():
         expected_morse_squares(100, 0.8)  # 2 p^2 > 1
     with pytest.raises(InvalidParameter):
         expected_morse_squares(3, 0.1)
+    with pytest.raises(InvalidParameter):
+        expected_morse_squares(10.0, 0.1)
 
 
 def test_expectations_survive_large_n():
@@ -137,6 +151,12 @@ def test_clique_link_probability_validation():
         clique_link_probability(10, 4, 0.3)
     with pytest.raises(InvalidParameter):
         clique_link_probability(10, 5, 1.0)
+    with pytest.raises(InvalidParameter):
+        clique_link_probability(10.5, 5, 0.1)
+    with pytest.raises(InvalidParameter):
+        clique_link_probability(10, 5.5, 0.1)
+    with pytest.raises(InvalidParameter):
+        clique_link_probability(10**400, 5, 0.1)
 
 
 def test_clique_link_probability_monte_carlo():
@@ -176,6 +196,16 @@ def test_long_cycle_bound_validation():
         long_cycle_bound(10, 0.5, 2)
     with pytest.raises(InvalidParameter):
         long_cycle_bound(4, 0.5, 5)
+    with pytest.raises(InvalidParameter):
+        long_cycle_bound(10.5, 0.1, 5)
+    with pytest.raises(InvalidParameter):
+        long_cycle_bound(10, 0.1, 5.5)
+    with pytest.raises(InvalidParameter):
+        long_cycle_bound(10, 0.1, True)
+    with pytest.raises(InvalidParameter):
+        long_cycle_bound(10**400, 0.1, 5)
+    with pytest.raises(OutOfDomain):
+        long_cycle_bound(10**6, 0.01, 200)  # the bound past the float range
 
 
 def test_threshold_values_at_1024():
@@ -195,3 +225,7 @@ def test_threshold_ordering_and_ratio():
 def test_threshold_validation():
     with pytest.raises(InvalidParameter):
         thresholds(2)
+    with pytest.raises(InvalidParameter):
+        thresholds(10.5)
+    with pytest.raises(InvalidParameter):
+        thresholds(10**400)

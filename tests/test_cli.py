@@ -186,6 +186,20 @@ def test_out_of_domain_analytic_exit_code(capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--which", "long-cycle-bound", "--n", "1000000", "--p", "0.01", "--k", "200"],
+        ["--which", "thresholds", "--n", "1" + "0" * 400],
+        ["--which", "mu5", "--p", "0.001", "--n", "1" + "0" * 400],
+    ],
+)
+def test_analytic_beyond_float_range_exit_code(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, "analytic", *argv)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
 def test_sweep_command(tmp_path, capsys):
     config = {
         "ns": [10],

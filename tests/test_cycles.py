@@ -397,6 +397,52 @@ def test_smallest_sufficient_budgets(n, c, seed, count_budget, search_budget):
         morse_pruned_cycle_search(g, 5, 8, budget=search_budget - 1)
 
 
+# more smallest sufficient budgets on the same graphs, recorded before every
+# node's cycles were tested at its parent: the whole (5, 8) stream, whose
+# closing vertices at lengths 6 and 7 are tested one level up, and the search
+# with kmin = 6, where the first level has no cycle of admissible length
+RANGE_BUDGET_GOLDEN = [
+    (128, 0.5, 1, 128757, 78),
+    (192, 0.95, 3, 63359, 63346),
+    (256, 0.5, 4, 1028549, 1140),
+]
+
+
+@pytest.mark.parametrize("n, c, seed, stream_budget, search6_budget", RANGE_BUDGET_GOLDEN)
+def test_smallest_sufficient_budgets_of_other_ranges(n, c, seed, stream_budget, search6_budget):
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    stream = list(_morse_cycles(g, 5, 8))
+    assert list(_morse_cycles(g, 5, 8, stream_budget)) == stream
+    with pytest.raises(SearchBudgetExceeded):
+        list(_morse_cycles(g, 5, 8, stream_budget - 1))
+    first6 = morse_pruned_cycle_search(g, 6, 8)
+    w = morse_pruned_cycle_search(g, 6, 8, budget=search6_budget)
+    assert w == first6 and (w is None or w.k >= 6)
+    with pytest.raises(SearchBudgetExceeded):
+        morse_pruned_cycle_search(g, 6, 8, budget=search6_budget - 1)
+
+
+# is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax): each
+# pair with two or more common neighbors is tested once, wherever the DFS
+# asks for it
+CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 2573), (192, 0.95, 3, 8, 14268), (256, 0.5, 4, 8, 12518)]
+
+
+@pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
+def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    made = []
+    is_clique_mask = cycles_module.is_clique_mask
+
+    def counted(graph, mask):
+        made.append(mask)
+        return is_clique_mask(graph, mask)
+
+    monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
+    list(_morse_cycles(g, 5, kmax))
+    assert len(made) == calls
+
+
 # sha256 of repr(list(_morse_cycles(g, 5, kmax))), recorded while the DFS
 # still pushed its last path level: the order is pinned, not just the set
 STREAM_GOLDEN = [
@@ -412,6 +458,25 @@ def test_morse_cycle_stream_order_golden(seed, kmax, count, digest):
     g = sample_gnp(200, density_from_coefficient(0.5, 200).p, trial_seed(2718, seed))
     got = list(_morse_cycles(g, 5, kmax))
     assert len(got) == count
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
+
+
+# the same digests for a range above length 5 and the uncapped range
+# (kmax = n), recorded before every node's cycles were tested at its parent
+STREAM_RANGE_GOLDEN = [
+    (1, 6, 8, 998, 8, "c48d17ab628528900222b8abfb72152904709960244944005eb6930a3a146b20"),
+    (1, 5, 200, 1597, 13, "fbdfb2ea62d577ee701709fa804e948de5bf23a015abd0ec490ad0dfd01027d7"),
+    (2, 6, 8, 631, 8, "3bfaa309ad91c906d892cb857274cfb85a7a427ee848afc732688f0a50fb54f6"),
+    (2, 5, 200, 979, 12, "e7c0c6c0f8f8531a56b735aca396e08d412a93064f7835bbea6ebf8402676e78"),
+]
+
+
+@pytest.mark.parametrize("seed, kmin, kmax, count, longest, digest", STREAM_RANGE_GOLDEN)
+def test_morse_cycle_stream_ranges_golden(seed, kmin, kmax, count, longest, digest):
+    g = sample_gnp(200, density_from_coefficient(0.5, 200).p, trial_seed(2718, seed))
+    got = list(_morse_cycles(g, kmin, kmax))
+    assert len(got) == count
+    assert min(map(len, got)) == kmin and max(map(len, got)) == longest
     assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
 
