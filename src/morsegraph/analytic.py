@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, OutOfDomain
-from .gnp import _integer
+from .gnp import _integer, _real
 
 PENTAGON_COEFFICIENT = math.sqrt(0.5)
 SQUARE_COEFFICIENT = 1.0
@@ -74,7 +74,7 @@ def conditional_link_probability(p: float, which: int) -> float:
     All three behave like the unconditional probability to leading order as
     p -> 0.
     """
-    if not 0.0 <= p < 1.0:
+    if (p := _real("edge probability", p, 1.0)) == 1.0:
         raise InvalidParameter(f"need 0 <= p < 1, got {p}")
     which = _integer("which", which)
     if which == 1:
@@ -106,8 +106,7 @@ def _first_moment(n: int, p: float, k: int, orders: float, pairs: int) -> float:
     n = _vertex_count(n)
     if n < k:
         raise InvalidParameter(f"need n >= {k}, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
+    p = _real("edge probability", p, 1.0)
     if pairs * p * p >= 1.0:
         raise OutOfDomain(f"formula needs {pairs}*p^2 < 1, got p={p}")
     if p == 0.0:
@@ -166,7 +165,7 @@ def clique_link_probability(n: int, k: int, p: float) -> float:
         raise InvalidParameter(f"need k >= 5, got {k}")
     if k > n:
         raise InvalidParameter(f"need k <= n, got k={k}, n={n}")
-    if not 0.0 <= p < 1.0:
+    if (p := _real("edge probability", p, 1.0)) == 1.0:
         raise InvalidParameter(f"need 0 <= p < 1, got {p}")
     if p == 0.0:
         return 1.0
@@ -196,20 +195,26 @@ def long_cycle_bound(n: int, p: float, k: int) -> float:
         raise InvalidParameter(f"need k >= 3, got {k}")
     if k > n:
         raise InvalidParameter(f"need k <= n, got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
-    if p == 0.0:
+    if (p := _real("edge probability", p, 1.0)) == 0.0:
         return 0.0
     chords = math.comb(k, 2) - k
     if p == 1.0 and chords > 0:
         return 0.0
+    log_q = math.log1p(-p) if chords else 0.0
+    try:
+        chord_term = chords * log_q
+    except OverflowError:  # chords past the float range: take the product in logs
+        try:
+            chord_term = -math.exp(math.log(chords) + math.log(-log_q))
+        except OverflowError:  # a product below the float range: the bound underflows
+            chord_term = -math.inf
     try:
         return math.exp(
             _log_comb(n, k)
             + math.lgamma(k + 1)
             - math.log(2 * k)
             + k * math.log(p)
-            + (chords * math.log1p(-p) if chords else 0.0)
+            + chord_term
         )
     except OverflowError:
         raise OutOfDomain(f"the bound at p={p} exceeds the float range") from None

@@ -17,8 +17,9 @@ array: each candidate gathers its neighbors from CSR neighbor lists, keeps
 the common ones, and pairs the non-adjacent ones.  The isolated-square scan
 of ``squares`` first drops, in numpy, each candidate with two or more
 non-adjacent pairs among its three lowest common neighbors, which rules out
-a singleton bucket; it reads the buckets of the rest one at a time through
-``_diagonal_bucket`` and can stop early.  A square is emitted from its
+a singleton bucket, and reads the bucket of one with exactly two common
+neighbors off those two; it reads the buckets of the rest one at a time
+through ``_diagonal_bucket`` and can stop early.  A square is emitted from its
 smaller diagonal, which makes its vertex order canonical as built.
 
 ``_morse_cycles`` yields every Morse cycle in a length range once; the
@@ -58,8 +59,9 @@ from .graph import Graph, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
-# Vertex pairs per row block of the diagonal-candidate filter.
-_BLOCK_CELLS = 2**18
+# Vertex pairs per row block of the diagonal-candidate filter: a block's
+# 64-bit AND temporary (512 KB) stays within a core's L2 cache.
+_BLOCK_CELLS = 2**16
 # Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
 
@@ -181,25 +183,29 @@ def count_induced_cycles(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_blocks(packed: np.ndarray, cols: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Non-adjacent pairs ``(u, w)``, ``u < w``, with >= 2 common neighbors, as
     ``(us, ws)`` index arrays of at most ``_PAIR_CHUNK`` pairs, in
-    lexicographic order, from the rows ``packed`` by ``_packed_rows`` and
-    their words ``cols`` by ``_word_columns``.
+    lexicographic order, from the rows ``packed`` by ``_packed_rows``.
 
     These are exactly the pairs that can occur as a diagonal of an induced
     square.  The pair filter counts common neighbors one block of rows at a
     time, as popcounts of each block row ANDed word by word with the packed
     rows from the block's first row on: the upper triangle it keeps, and no
-    more.  A block's pairs are held as one array of flat indices, split into
-    ``(us, ws)`` a piece at a time.  Memory is the caller's packed rows and
-    their transposed copy, and a few bytes for each of a block's at most
-    ``_BLOCK_CELLS`` pairs, at any n.  A consumer that stops early pays only
-    for the blocks it read, and one that builds from each piece, as
-    ``build_square_graph`` does, checking its cap after every piece, holds
-    one piece's work at a time.
+    more.  It reads the rows' 64-bit words transposed, so that a pass over
+    one word reads one contiguous line.  A block's pairs are held as one array of flat indices, split into
+    ``(us, ws)`` a piece at a time; its counts and masks are freed first.
+    A block is ``max(_BLOCK_CELLS // n, 1)`` rows, at most ``_BLOCK_CELLS``
+    (2**16) pairs for n <= 2**16.  That bounds its 64-bit AND temporary to
+    512 KB, within a core's L2 cache, and its whole working set to about 13
+    bytes a pair.  Memory is the caller's packed rows, their transposed
+    copy, and that working set.  A consumer that stops early pays only for
+    the blocks it read (at n = 4096, 16 rows each), and one that builds from
+    each piece, as ``build_square_graph`` does, checking its cap after every
+    piece, holds one piece's work at a time.
     """
     n = len(packed)
+    cols = np.ascontiguousarray(packed.view(np.uint64).T)  # line k: word k of every row
     step = max(_BLOCK_CELLS // max(n, 1), 1)
     for start in range(0, n, step):
         counts = np.zeros((min(step, n - start), n - start), dtype=np.uint32)
@@ -209,9 +215,10 @@ def _candidate_blocks(packed: np.ndarray, cols: np.ndarray) -> Iterator[tuple[np
         # keep w > u: column j of block row i is the pair (start + i, start + j)
         cand = np.triu((block[:, start:] == 0) & (counts >= 2.0), 1)
         del counts  # not held beside the pair indices
-        flat = np.flatnonzero(cand)
+        flat = np.flatnonzero(cand).astype(np.uint32)  # below step * n < 2**32
+        del block, cand  # nor are the masks, while the pieces are read
         for i in range(0, len(flat), _PAIR_CHUNK):
-            us, ws = np.divmod(flat[i : i + _PAIR_CHUNK], n - start)
+            us, ws = np.divmod(flat[i : i + _PAIR_CHUNK].astype(np.intp), n - start)
             us += start
             ws += start
             yield us, ws
@@ -223,12 +230,6 @@ def _packed_rows(g: Graph) -> np.ndarray:
     width = max((g.n + 63) // 64, 1) * 8
     buf = b"".join(row.to_bytes(width, "little") for row in g.rows)
     return np.frombuffer(buf, dtype=np.uint8).reshape(g.n, width)
-
-
-def _word_columns(packed: np.ndarray) -> np.ndarray:
-    """The packed rows' 64-bit words transposed: line ``k`` holds word ``k`` of
-    every row, so a pass over one word reads one contiguous line."""
-    return np.ascontiguousarray(packed.view(np.uint64).T)
 
 
 def _adjacent(packed: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -271,14 +272,9 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     least and ``x < y``, so each row is already canonical.  Rows come in
     lexicographic order of ``(u, w, x, y)``.
     """
-    n = g.n
     packed = _packed_rows(g)
-    # neighbors above each vertex: above[ptr[v]:ptr[v + 1]], ascending
-    lows, above = np.nonzero(np.unpackbits(packed, axis=1, count=n, bitorder="little"))
-    lows, above = lows[above > lows], above[above > lows]
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(lows, minlength=n), out=ptr[1:])
-    for us, ws in _candidate_blocks(packed, _word_columns(packed)):
+    ptr, above = _neighbors_above(packed, g.m)
+    for us, ws in _candidate_blocks(packed):
         deg = ptr[us + 1] - ptr[us]
         owner = np.repeat(np.arange(len(us)), deg)
         xs = above[_ranges(ptr[us], deg)]
@@ -293,6 +289,25 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
         keep = ~_adjacent(packed, x, y)
         o = owner[first[keep]]
         yield np.stack([us[o], x[keep], ws[o], y[keep]], axis=1)
+
+
+def _neighbors_above(packed: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists ``(ptr, above)`` of the ``m`` edges in the rows ``packed``:
+    the neighbors above vertex ``v`` are ``above[ptr[v]:ptr[v + 1]]``,
+    ascending.  Rows are unpacked one block of ``_BLOCK_CELLS`` bits at a
+    time, so no n x n bit matrix is held."""
+    n = len(packed)
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    above = np.empty(m, dtype=np.intp)
+    step = max(_BLOCK_CELLS // max(n, 1), 1)
+    for start in range(0, n, step):
+        bits = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
+        lows, highs = np.nonzero(np.triu(bits, start + 1))  # column > row: above
+        stop = start + len(bits)
+        np.cumsum(np.bincount(lows, minlength=len(bits)), out=ptr[start + 1 : stop + 1])
+        ptr[start + 1 : stop + 1] += ptr[start]
+        above[ptr[start] : ptr[stop]] = highs
+    return ptr, above
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

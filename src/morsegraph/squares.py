@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .cycles import (
-    _adjacent, _candidate_blocks, _diagonal_bucket, _packed_rows, _ranges, _square_blocks, _word_columns
+    _BLOCK_CELLS, _adjacent, _candidate_blocks, _diagonal_bucket, _packed_rows, _ranges, _square_blocks
 )
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
@@ -172,53 +172,63 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     of ``(x, y)`` for being exactly ``(u, w)``.  The non-adjacent pairs among
     a candidate's three lowest common neighbors lie in its bucket, so a numpy
     test over each piece of candidates first drops those with two or more of
-    them; only the rest read their buckets, one at a time, in Python.  A
-    square comes from its smaller diagonal, where ``u < x < y``, so
-    ``(u, x, w, y)`` is canonical; squares come in the order of
-    ``enumerate_induced_squares``.  These are exactly the Morse squares of
-    ``g``.
+    them.  A candidate with exactly two common neighbors ``x1 < x2`` has the
+    bucket ``(x1, x2)`` if they are non-adjacent and none if not, so it is
+    kept only with that bucket above it, ``x1 > u``; only candidates with
+    three or more read their buckets, one at a time, in Python.  A square
+    comes from its smaller diagonal, where ``u < x < y``, so ``(u, x, w, y)``
+    is canonical; squares come in the order of ``enumerate_induced_squares``.
+    These are exactly the Morse squares of ``g``.
     """
     packed = _packed_rows(g)
-    cols = _word_columns(packed)
-    for us, ws in _candidate_blocks(packed, cols):
-        keep = _lowest_gaps(packed, cols, us, ws) <= 1
-        for u, w in zip(us[keep].tolist(), ws[keep].tolist()):
-            bucket = _diagonal_bucket(g, u, w, 2)
-            if len(bucket) != 1 or bucket[0] < (u, w):
-                continue
-            x, y = bucket[0]
+    for us, ws in _candidate_blocks(packed):
+        gaps, x1, x2, third = _lowest_gaps(packed, us, ws)
+        keep = np.where(third, gaps <= 1, (gaps == 1) & (x1 > us))
+        for u, w, x, y, more in zip(*(a[keep].tolist() for a in (us, ws, x1, x2, third))):
+            if more:
+                bucket = _diagonal_bucket(g, u, w, 2)
+                if len(bucket) != 1 or bucket[0] < (u, w):
+                    continue
+                x, y = bucket[0]
             reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
             if reciprocal_ok:
                 yield u, x, w, y
 
 
-def _lowest_gaps(packed: np.ndarray, cols: np.ndarray, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """The number of non-adjacent pairs among the three lowest common
-    neighbors of each candidate diagonal ``(us[i], ws[i])``, or among its two
-    when it has only two: the lowest bits of the words flagged as holding one.
-    Words are gathered from ``cols``, the ``_word_columns`` of ``packed``."""
-    lines = np.arange(len(us))
-    filled = np.empty((len(cols), len(us)), dtype=bool)  # per word and candidate
-    for k, line in enumerate(cols):
-        np.not_equal(line[us] & line[ws], 0, out=filled[k])
-    at = filled.argmax(axis=0)
-    word = cols[at, us] & cols[at, ws]
+def _lowest_gaps(
+    packed: np.ndarray, us: np.ndarray, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(gaps, x1, x2, third)`` for the candidate diagonals ``(us[i], ws[i])``:
+    the two lowest common neighbors ``x1 < x2`` of each, whether it has a
+    third, and the number of non-adjacent pairs among the three lowest, or
+    among the two when there is no third: the lowest bits of the words
+    flagged as holding one.  The candidates' rows of ``packed`` are ANDed a
+    chunk of ``_BLOCK_CELLS`` bytes at a time, to flag their nonzero words."""
+    rows = packed.view(np.uint64)
+    filled = np.empty((len(us), rows.shape[1]), dtype=bool)  # per candidate and word
+    step = max(_BLOCK_CELLS // packed.shape[1], 1)  # rows of _BLOCK_CELLS bytes
+    for i in range(0, len(us), step):
+        np.not_equal(rows[us[i : i + step]] & rows[ws[i : i + step]], 0, out=filled[i : i + step])
+    at = filled.argmax(axis=1)
+    word = rows[us, at] & rows[ws, at]
     lowest = []
     for _ in range(3):
         if lowest:  # a spent word gives way to the next flagged one, or to none
-            spent = lines[word == 0]
-            filled[at[spent], spent] = False
-            at[spent] = filled[:, spent].argmax(axis=0)
-            fresh = cols[at[spent], us[spent]] & cols[at[spent], ws[spent]]
-            word[spent] = np.where(filled[at[spent], spent], fresh, 0)  # not a stale word
+            spent = np.flatnonzero(word == 0)
+            filled[spent, at[spent]] = False
+            at = filled.argmax(axis=1)  # unchanged where the word is not spent
+            fresh = rows[us[spent], at[spent]] & rows[ws[spent], at[spent]]
+            word[spent] = np.where(filled[spent, at[spent]], fresh, 0)  # not a stale word
         found = word != 0
         low = word & (~word + 1)
         lowest.append(64 * at + np.bitwise_count(low - 1))
         word ^= low
+    del filled  # not held beside the adjacency reads
     x1, x2, x3 = lowest
     x3 = np.where(found, x3, x1)  # a missing third neighbor counts in no pair
     gaps = (~_adjacent(packed, x1, x2)).astype(np.intp)
-    return gaps + (found & ~_adjacent(packed, x1, x3)) + (found & ~_adjacent(packed, x2, x3))
+    gaps = gaps + (found & ~_adjacent(packed, x1, x3)) + (found & ~_adjacent(packed, x2, x3))
+    return gaps, x1, x2, found
 
 
 def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:

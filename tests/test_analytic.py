@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from morsegraph import (
@@ -189,6 +190,8 @@ def test_long_cycle_bound_values():
     assert long_cycle_bound(3, 1.0, 3) == pytest.approx(1.0, rel=1e-12)
     assert long_cycle_bound(10, 1.0, 5) == 0.0  # chords forced
     assert long_cycle_bound(20, 0.25, 7) == pytest.approx(30.349672778538661, rel=1e-11)
+    # C(k, 2) - k chords past the float range: (1-p)^chords, and the bound, underflow
+    assert long_cycle_bound(10**200, 0.5, 10**160) == 0.0
 
 
 def test_long_cycle_bound_validation():
@@ -206,6 +209,24 @@ def test_long_cycle_bound_validation():
         long_cycle_bound(10**400, 0.1, 5)
     with pytest.raises(OutOfDomain):
         long_cycle_bound(10**6, 0.01, 200)  # the bound past the float range
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_probability_arguments_reject_bools(flag):
+    # p goes through the sampler's real-number check: a bool is no probability,
+    # though False == 0.0 and True == 1.0 pass a range test
+    calls = [
+        lambda p: conditional_link_probability(p, 1),
+        lambda p: expected_morse_squares(10, p),
+        lambda p: expected_morse_pentagons(10, p),
+        lambda p: clique_link_probability(10, 5, p),
+        lambda p: long_cycle_bound(10, p, 5),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter):
+            call(flag)
+        assert call(np.float64(0.125)) == call(0.125)
+        assert call(Fraction(1, 8)) == call(0.125)
 
 
 def test_threshold_values_at_1024():

@@ -31,7 +31,7 @@ from morsegraph.cycles import (
     _make_bad_bits,
     _morse_cycles,
     _packed_rows,
-    _word_columns,
+    _square_blocks,
 )
 from helpers import (
     brute_induced_cycles,
@@ -154,7 +154,7 @@ def test_squares_match_cycle_enumeration(seed):
 def test_square_prefilter_paths_agree():
     # the row-blocked filter against common neighborhoods from Python sets;
     # n = 0 has no rows and n = 128 fills its two 64-bit words with no
-    # padding; n = 600 spans two row blocks, the second one partial, and its
+    # padding; n = 600 spans six row blocks, the last one partial, and its
     # first block holds more than one piece of pairs
     step = _BLOCK_CELLS // 600
     assert 600 > step and 600 % step
@@ -167,7 +167,7 @@ def test_square_prefilter_paths_agree():
             if w not in nbrs[u] and len(nbrs[u] & nbrs[w]) >= 2
         ]
         packed = _packed_rows(g)
-        pieces = list(_candidate_blocks(packed, _word_columns(packed)))
+        pieces = list(_candidate_blocks(packed))
         assert all(len(us) == len(ws) <= _PAIR_CHUNK for us, ws in pieces)
         assert [pair for us, ws in pieces for pair in zip(us.tolist(), ws.tolist())] == brute
         assert brute or n < 3
@@ -178,7 +178,7 @@ def test_square_prefilter_paths_agree():
 def test_first_diagonal_candidate_memory():
     # the first piece of candidates costs two copies of the packed bit rows,
     # one bit per vertex pair each, and the counts and temporaries of one row
-    # block, about 13 bytes for each of its _BLOCK_CELLS pairs (4.3 MB in all
+    # block, about 13 bytes for each of its _BLOCK_CELLS pairs (2.0 MB in all
     # with numpy 2.4), so an n x n array cannot come back, not even at one
     # byte per pair
     n = 2048
@@ -186,12 +186,29 @@ def test_first_diagonal_candidate_memory():
     tracemalloc.start()
     try:
         packed = _packed_rows(g)
-        us, ws = next(_candidate_blocks(packed, _word_columns(packed)))
+        us, ws = next(_candidate_blocks(packed))
         next(zip(us.tolist(), ws.tolist()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= n * n // 4 + 16 * _BLOCK_CELLS
+
+
+def test_square_blocks_memory():
+    # the CSR neighbor lists are read one row block at a time, so the first
+    # piece of squares costs the filter's first piece, the CSR arrays and, on
+    # this sparse host, few squares: no n x n byte matrix (16 MB here).  Not
+    # n = 2048: its 4 MB matrix would fit the 16 * _BLOCK_CELLS term of a
+    # block of 2**18 pairs
+    n = 4096
+    g = sample_gnp(n, 0.002, 11)
+    tracemalloc.start()
+    try:
+        assert len(next(_square_blocks(g)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n // 4 + 16 * _BLOCK_CELLS + 8 * (g.m + n + 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

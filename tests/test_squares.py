@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 
 from morsegraph import (
     CapacityExceeded,
+    CycleWitness,
     build_graph,
     build_square_graph,
     components,
@@ -20,8 +23,9 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
-from morsegraph.cycles import _BLOCK_CELLS
-from morsegraph.squares import isolated_squares, square_graph_edges
+from morsegraph.cycles import _BLOCK_CELLS, _candidate_blocks, _packed_rows
+import morsegraph.squares as squares_module
+from morsegraph.squares import _lowest_gaps, isolated_squares, square_graph_edges
 from helpers import (
     brute_induced_squares,
     complete_bipartite,
@@ -239,6 +243,77 @@ def test_isolated_squares_match_reference(kind, value):
         assert has_isolated_square(g) == next(iter(expected), None)
         found += len(expected)
     assert found or kind == "gnp" and value > 1.0
+
+
+@pytest.mark.parametrize("n, p", [(63, 0.2), (64, 0.1), (65, 0.3), (129, 0.08), (200, 0.15)])
+def test_lowest_gaps_match_python_sets(n, p):
+    # the prefilter's two lowest common neighbors, whether a third exists, and
+    # the non-adjacent pairs among the lowest three, for every candidate
+    g = sample_gnp(n, p, trial_seed(6500, n))
+    nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
+    packed = _packed_rows(g)
+    checked = 0
+    for us, ws in _candidate_blocks(packed):
+        got = zip(*(a.tolist() for a in _lowest_gaps(packed, us, ws)))
+        for u, w, (gaps, x1, x2, third) in zip(us.tolist(), ws.tolist(), got):
+            common = sorted(nbrs[u] & nbrs[w])
+            low = common[:3]
+            pairs = sum(b not in nbrs[a] for i, a in enumerate(low) for b in low[i + 1 :])
+            assert (gaps, x1, x2, third) == (pairs, common[0], common[1], len(common) > 2)
+            checked += 1
+    assert checked
+
+
+# (n, u, w, x1, x2, x1 ~ x2, isolated squares): a diagonal (u, w) whose only
+# common neighbors are x1 < x2, across the 64-bit word boundary at 63 | 64
+TWO_NEIGHBOR_DIAGONALS = [
+    (130, 62, 129, 63, 64, False, [(62, 63, 129, 64)]),  # kept; (63, 64) has x1 = 62 below it
+    (130, 63, 64, 0, 127, False, [(0, 63, 127, 64)]),  # x1 = 0 < u: read from (0, 127)
+    (130, 63, 129, 0, 64, True, []),  # x1 ~ x2: an empty bucket, no square at all
+]
+
+
+@pytest.mark.parametrize("n, u, w, x1, x2, chord, expected", TWO_NEIGHBOR_DIAGONALS)
+def test_two_neighbor_diagonals(monkeypatch, n, u, w, x1, x2, chord, expected):
+    # a candidate with exactly two common neighbors takes its bucket from the
+    # prefilter; Python reads only the reciprocal bucket of each kept one
+    g = build_graph(n, [(u, x1), (u, x2), (w, x1), (w, x2)] + [(x1, x2)] * chord)
+    reads = []
+    real_bucket = squares_module._diagonal_bucket
+    monkeypatch.setattr(squares_module, "_diagonal_bucket",
+                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    assert list(isolated_squares(g)) == expected == _reference_isolated_squares(g)
+    assert reads == [s[1::2] for s in expected]
+    assert len(build_square_graph(g)) == len(expected)
+
+
+def _relabelled(g, pi):
+    """``g`` with vertex ``v`` renamed ``pi[v]``, built from its permuted rows."""
+    return build_graph(g.n, [(pi[u], pi[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 600])
+def test_square_layer_relabelling_invariance(n):
+    # vertex order sets the word boundaries of the filter and the scan's
+    # lowest common neighbors, the anchor of every square and, at n = 600,
+    # the row blocks (the last one partial); none of it may show in the answers
+    step = _BLOCK_CELLS // n
+    assert n <= step or n % step
+    rng = random.Random(n)
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    g = sample_gnp(n, density_from_coefficient(0.9, n).p, trial_seed(6400 + n, 0))
+    cfs_host = sample_gnp(n, 2.5 * 0.670435 / math.sqrt(n), trial_seed(6400 + n, 1))  # 2.5 tau
+    isolated = list(isolated_squares(g))
+    sq = build_square_graph(cfs_host)
+    for pi in (shuffled, list(range(n - 1, -1, -1))):
+        mapped = {CycleWitness.from_cycle([pi[v] for v in s]).vertices for s in isolated}
+        assert set(isolated_squares(_relabelled(g, pi))) == mapped
+        h = _relabelled(cfs_host, pi)
+        h_sq = build_square_graph(h)
+        assert len(h_sq) == len(sq)
+        assert is_cfs(h, h_sq) == is_cfs(cfs_host, sq)
+    assert isolated and is_cfs(cfs_host, sq)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,0 +1,196 @@
+"""Time one layer of morsegraph at an earlier revision and in the working tree,
+side by side in one process, and check that both give the same output.
+
+The earlier revision's ``src/morsegraph`` comes from ``git archive <rev>``
+into a temporary directory; each tree is imported under its own package
+name (``morsegraph_base`` and ``morsegraph_work``).  Graphs are sampled once
+per seed, ``sample_gnp(n, p, trial_seed(master, i))``, and handed to each
+side as its own ``Graph``.  Outputs are compared on every graph before any
+timing.  Calls are then interleaved, the side that goes first alternating
+between rounds, with the process pinned to one CPU.  The report gives each
+side's median time, the median and quartiles of the paired ratios
+work / base (below 1 is faster), and how many pairs the working tree won.
+
+Layers:
+
+- ``candidates``: one full pass of ``cycles._candidate_blocks``;
+- ``first-piece``: its first piece only, the cost an early exit pays;
+- ``isolated``: ``has_isolated_square``;
+- ``isolated-all``: the whole ``squares.isolated_squares`` stream;
+- ``square-graph``: ``build_square_graph``;
+- ``morse``: ``morse_pruned_cycle_search(g, 5, 8)``;
+- ``sampler``: ``sample_gnp`` itself.
+
+Example, a full filter pass at CFS density against the parent commit::
+
+    python tools/ab_layers.py candidates --rev HEAD~1 --n 1024 --tau 1.0 --graphs 3 --rounds 7
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+# Criterion 07's CFS threshold density scale: tau = 0.670435 / sqrt(n).
+TAU_COEFFICIENT = 0.670435
+
+
+def load_package(name: str, directory: Path):
+    """Import the package in ``directory`` as ``name``; its imports are relative."""
+    spec = importlib.util.spec_from_file_location(
+        name, directory / "__init__.py", submodule_search_locations=[str(directory)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def archive_package(rev: str, dest: Path) -> Path:
+    """Extract ``src/morsegraph`` at ``rev`` into ``dest``; return its directory."""
+    blob = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src/morsegraph"],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src" / "morsegraph"
+
+
+def _candidate_pieces(pkg, g):
+    cycles = pkg.cycles
+    packed = cycles._packed_rows(g)
+    if hasattr(cycles, "_word_columns"):  # revisions whose filter took the transposed words
+        return cycles._candidate_blocks(packed, cycles._word_columns(packed))
+    return cycles._candidate_blocks(packed)
+
+
+def _candidates(pkg, g, host):
+    pieces = list(_candidate_pieces(pkg, g))
+    return [np.concatenate([a[i] for a in pieces] or [np.empty(0, np.intp)]) for i in (0, 1)]
+
+
+def _first_piece(pkg, g, host):
+    return next(_candidate_pieces(pkg, g), None)
+
+
+def _square_graph(pkg, g, host):
+    sq = pkg.build_square_graph(g)
+    return sq.squares, sq.diagonal_index, sq.square_diagonals
+
+
+def _morse(pkg, g, host):
+    witness = pkg.morse_pruned_cycle_search(g, 5, 8)
+    return None if witness is None else witness.vertices
+
+
+LAYERS = {
+    "candidates": _candidates,
+    "first-piece": _first_piece,
+    "isolated": lambda pkg, g, host: pkg.has_isolated_square(g),
+    "isolated-all": lambda pkg, g, host: list(pkg.squares.isolated_squares(g)),
+    "square-graph": _square_graph,
+    "morse": _morse,
+    "sampler": lambda pkg, g, host: pkg.sample_gnp(host.n, host.p, host.seed).rows,
+}
+
+
+@dataclass(frozen=True)
+class Host:
+    """A sampled graph as plain data, rebuilt as each side's own ``Graph``."""
+
+    n: int
+    rows: tuple[int, ...]
+    m: int
+    p: float
+    seed: int
+
+    def on(self, pkg):
+        return pkg.graph.Graph(self.n, self.rows, self.m)
+
+
+def same(a, b) -> bool:
+    """Equality through tuples and lists, numpy arrays compared by value and dtype."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("layer", choices=sorted(LAYERS))
+    parser.add_argument("--rev", default="HEAD", help="earlier revision (default HEAD)")
+    parser.add_argument("--n", type=int, required=True, help="vertex count")
+    density = parser.add_mutually_exclusive_group(required=True)
+    density.add_argument("--c", type=float, help="p = c * sqrt(ln n / n)")
+    density.add_argument("--tau", type=float, help="p = tau * 0.670435 / sqrt(n), the CFS scale")
+    parser.add_argument("--master", type=int, default=3000, help="master seed (default 3000)")
+    parser.add_argument("--graphs", type=int, default=3, help="graphs, trial_seed(master, 0..)")
+    parser.add_argument("--rounds", type=int, default=7, help="timed calls per graph and side")
+    args = parser.parse_args(argv)
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = load_package("morsegraph_base", archive_package(args.rev, Path(tmp)))
+        work = load_package("morsegraph_work", ROOT / "src" / "morsegraph")
+        sides = {"base": base, "work": work}
+        if args.c is not None:
+            p = work.density_from_coefficient(args.c, args.n).p
+        else:
+            p = min(1.0, args.tau * TAU_COEFFICIENT / math.sqrt(args.n))
+        hosts = []
+        for i in range(args.graphs):
+            seed = work.trial_seed(args.master, i)
+            g = work.sample_gnp(args.n, p, seed)
+            hosts.append(Host(g.n, g.rows, g.m, p, seed))
+        layer = LAYERS[args.layer]
+
+        graphs = {side: [host.on(pkg) for host in hosts] for side, pkg in sides.items()}
+        for i, host in enumerate(hosts):  # equal outputs, and warm caches, before any timing
+            outputs = [layer(pkg, graphs[side][i], host) for side, pkg in sides.items()]
+            if not same(*outputs):
+                print(f"MISMATCH on seed {host.seed}: the two trees disagree", file=sys.stderr)
+                return 1
+
+        times = {side: [] for side in sides}
+        for r in range(args.rounds):
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for i, host in enumerate(hosts):
+                for side in order:
+                    g = graphs[side][i]
+                    start = time.perf_counter()
+                    layer(sides[side], g, host)
+                    times[side].append(time.perf_counter() - start)
+
+    ratios = [w / b for b, w in zip(times["base"], times["work"])]
+    wins = sum(r < 1.0 for r in ratios)
+    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"{args.layer} n={args.n} p={p:.6g} rev={args.rev} graphs={len(hosts)} "
+          f"rounds={args.rounds}: outputs equal")
+    for side in sides:
+        print(f"  {side}: median {1e3 * statistics.median(times[side]):.3f} ms")
+    print(f"  work/base paired ratio: median {med:.3f} [q1 {q1:.3f}, q3 {q3:.3f}], "
+          f"work faster in {wins} of {len(ratios)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
