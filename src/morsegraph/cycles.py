@@ -13,7 +13,7 @@ them as index arrays in lexicographic order, in pieces of at most
 ``_PAIR_CHUNK`` pairs, from popcounts of the packed bit rows over the upper
 triangle, one block of rows at a time.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
-array: each candidate gathers its neighbors from CSR neighbor lists, keeps
+array: each candidate reads its neighbors from its piece's rows, keeps
 the common ones, and pairs the non-adjacent ones.  The isolated-square scan
 of ``squares`` first drops, in numpy, each candidate with two or more
 non-adjacent pairs among its three lowest common neighbors, which rules out
@@ -265,19 +265,24 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     """Every induced 4-cycle of ``g`` once, as ``(k, 4)`` arrays of rows
     ``(u, x, w, y)``, one array per piece of ``_candidate_blocks``.
 
-    Each candidate diagonal ``(u, w)`` gathers its neighbors above ``u`` from
-    CSR neighbor lists and keeps those adjacent to ``w``; every non-adjacent
-    pair ``x < y`` of them spans the square u-x-w-y.  Taking only centers
-    above ``u`` emits a square from its smaller diagonal alone, where ``u`` is
-    least and ``x < y``, so each row is already canonical.  Rows come in
-    lexicographic order of ``(u, w, x, y)``.
+    Each piece unpacks its own rows, at most ``_BLOCK_CELLS`` bytes since a
+    piece never spans two row blocks.  Each candidate diagonal ``(u, w)``
+    takes its neighbors above ``u`` from them and keeps those adjacent to
+    ``w``; every non-adjacent pair ``x < y`` of them spans the square
+    u-x-w-y.  Taking only centers above ``u`` emits a square from its smaller
+    diagonal alone, where ``u`` is least and ``x < y``, so each row is already
+    canonical.  Rows come in lexicographic order of ``(u, w, x, y)``.
     """
     packed = _packed_rows(g)
-    ptr, above = _neighbors_above(packed, g.m)
     for us, ws in _candidate_blocks(packed):
-        deg = ptr[us + 1] - ptr[us]
+        lo = us[0]
+        bits = np.unpackbits(packed[lo : us[-1] + 1], axis=1, count=g.n, bitorder="little")
+        lows, above = np.nonzero(bits)
+        up = above > lows + lo  # the neighbors above each row's vertex
+        start, end = np.searchsorted(lows[up], np.arange(len(bits) + 1))[[us - lo, us - lo + 1]]
+        deg = end - start
         owner = np.repeat(np.arange(len(us)), deg)
-        xs = above[_ranges(ptr[us], deg)]
+        xs = above[up][_ranges(start, deg)]
         common = _adjacent(packed, np.repeat(ws, deg), xs)
         owner, xs = owner[common], xs[common]
         # each common neighbor pairs with the later ones of its candidate
@@ -289,25 +294,6 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
         keep = ~_adjacent(packed, x, y)
         o = owner[first[keep]]
         yield np.stack([us[o], x[keep], ws[o], y[keep]], axis=1)
-
-
-def _neighbors_above(packed: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR lists ``(ptr, above)`` of the ``m`` edges in the rows ``packed``:
-    the neighbors above vertex ``v`` are ``above[ptr[v]:ptr[v + 1]]``,
-    ascending.  Rows are unpacked one block of ``_BLOCK_CELLS`` bits at a
-    time, so no n x n bit matrix is held."""
-    n = len(packed)
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    above = np.empty(m, dtype=np.intp)
-    step = max(_BLOCK_CELLS // max(n, 1), 1)
-    for start in range(0, n, step):
-        bits = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
-        lows, highs = np.nonzero(np.triu(bits, start + 1))  # column > row: above
-        stop = start + len(bits)
-        np.cumsum(np.bincount(lows, minlength=len(bits)), out=ptr[start + 1 : stop + 1])
-        ptr[start + 1 : stop + 1] += ptr[start]
-        above[ptr[start] : ptr[stop]] = highs
-    return ptr, above
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

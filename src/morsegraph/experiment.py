@@ -33,6 +33,7 @@ from .errors import (
     TrialErrorRateExceeded,
 )
 from .gnp import DensityPoint, density_from_coefficient, density_from_probability, sample_gnp, trial_seed
+from .gnp import _integer, _real
 from .graph import Graph, iter_bits
 from .morse import count_morse_cycles, is_morse_subgraph, morse_oracle
 from .squares import build_square_graph, is_cfs, is_square_graph_connected, isolated_count
@@ -334,6 +335,8 @@ class SweepSummary:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    successes, trials = _integer("successes", successes), _integer("trials", trials)
+    z = _real("z", z, sys.float_info.max)
     if trials < 1:
         raise InvalidParameter(f"need trials >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -523,12 +526,11 @@ def exhaustive_small_n_expectation(n: int, p: float, prop: PropertyKind) -> floa
     (identical sum, grouped by cycle placement); the others are evaluated
     one graph at a time.
     """
-    if n > _EXHAUSTIVE_MAX_N:
+    if (n := _integer("n", n)) > _EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive enumeration is capped at n={_EXHAUSTIVE_MAX_N}, got {n}")
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"need 0 <= p <= 1, got {p}")
+    p = _real("edge probability", p, 1.0)
     if prop.lengths is not None:
         return _exhaustive_candidates(n, p, prop)
     return _exhaustive_direct(n, p, prop)
@@ -593,6 +595,8 @@ def run_oracle_suite(
     exact small-n expectation identities.  Graphs have n = 5..``max_n``,
     with ``5 <= max_n <= 12``.  Returns a JSON-ready report.
     """
+    max_n = _integer("max_n", max_n)
+    subsets_per_graph = _integer("subsets_per_graph", subsets_per_graph)
     if not 5 <= max_n <= 12:
         raise InvalidParameter(f"need 5 <= max_n <= 12, got {max_n}")
     if subsets_per_graph < 0:

@@ -195,9 +195,9 @@ def test_first_diagonal_candidate_memory():
 
 
 def test_square_blocks_memory():
-    # the CSR neighbor lists are read one row block at a time, so the first
-    # piece of squares costs the filter's first piece, the CSR arrays and, on
-    # this sparse host, few squares: no n x n byte matrix (16 MB here).  Not
+    # each piece unpacks only its own rows, so the first piece of squares
+    # costs the filter's first piece, one row block's neighbors and, on this
+    # sparse host, few squares: no n x n byte matrix (16 MB here).  Not
     # n = 2048: its 4 MB matrix would fit the 16 * _BLOCK_CELLS term of a
     # block of 2**18 pairs
     n = 4096

@@ -4,6 +4,7 @@ import math
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morsegraph import (
@@ -202,6 +203,11 @@ def test_wilson_validation():
         wilson_interval(5, 3)
     with pytest.raises(InvalidParameter):
         wilson_interval(1, 3, z=0.0)
+    # non-integer counts and a non-finite z, as in the sweep config
+    for args in [(1.5, 3), (1, 3.0), (True, 3), (1, 2, math.inf), (1, 2, math.nan), (1, 2, True)]:
+        with pytest.raises(InvalidParameter):
+            wilson_interval(*args)
+    assert wilson_interval(np.int64(50), np.int64(100), 2) == wilson_interval(50, 100, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +226,10 @@ def test_exhaustive_edge_cases():
     assert exhaustive_small_n_expectation(5, 0.0, P("morse-cycle-count:5")) == 0.0
     with pytest.raises(TooLarge):
         exhaustive_small_n_expectation(8, 0.5, P("cfs"))
+    # a bool p is not read as 0 or 1, nor a float n as an integer
+    for n, p in [(5, True), (5, False), (5.0, 0.5), (5, math.nan), (5, 1.5)]:
+        with pytest.raises(InvalidParameter):
+            exhaustive_small_n_expectation(n, p, P("morse-pentagon-exists"))
 
 
 def test_exhaustive_c4_count_closed_form():
@@ -511,7 +521,7 @@ def test_sweep_fails_on_error_rate(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "max_n,subsets", [(20, 5), (13, 5), (4, 5), (3, 5), (6, -1), (6, -4)]
+    "max_n,subsets", [(20, 5), (13, 5), (4, 5), (3, 5), (6, -1), (6, -4), (5.5, 5), (6, 1.5)]
 )
 def test_oracle_suite_rejects_out_of_range(max_n, subsets):
     with pytest.raises(InvalidParameter):

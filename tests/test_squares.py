@@ -292,6 +292,13 @@ def _relabelled(g, pi):
     return build_graph(g.n, [(pi[u], pi[v]) for u, v in g.edges()])
 
 
+def _relabellings(n):
+    """A random permutation of ``range(n)`` seeded by ``n``, and the reversal."""
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    return shuffled, list(range(n - 1, -1, -1))
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 600])
 def test_square_layer_relabelling_invariance(n):
     # vertex order sets the word boundaries of the filter and the scan's
@@ -299,14 +306,11 @@ def test_square_layer_relabelling_invariance(n):
     # the row blocks (the last one partial); none of it may show in the answers
     step = _BLOCK_CELLS // n
     assert n <= step or n % step
-    rng = random.Random(n)
-    shuffled = list(range(n))
-    rng.shuffle(shuffled)
     g = sample_gnp(n, density_from_coefficient(0.9, n).p, trial_seed(6400 + n, 0))
     cfs_host = sample_gnp(n, 2.5 * 0.670435 / math.sqrt(n), trial_seed(6400 + n, 1))  # 2.5 tau
     isolated = list(isolated_squares(g))
     sq = build_square_graph(cfs_host)
-    for pi in (shuffled, list(range(n - 1, -1, -1))):
+    for pi in _relabellings(n):
         mapped = {CycleWitness.from_cycle([pi[v] for v in s]).vertices for s in isolated}
         assert set(isolated_squares(_relabelled(g, pi))) == mapped
         h = _relabelled(cfs_host, pi)
@@ -314,6 +318,31 @@ def test_square_layer_relabelling_invariance(n):
         assert len(h_sq) == len(sq)
         assert is_cfs(h, h_sq) == is_cfs(cfs_host, sq)
     assert isolated and is_cfs(cfs_host, sq)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_morse_counts_relabelling_invariance(n):
+    # the Morse squares come from the isolated-square scan and the Morse
+    # pentagons from the pruned DFS, each anchored at a least vertex
+    g = sample_gnp(n, density_from_coefficient(0.5, n).p, trial_seed(6400 + n, 2))
+    counts = [count_morse_cycles(g, 4), count_morse_cycles(g, 5)]
+    for pi in _relabellings(n):
+        h = _relabelled(g, pi)
+        assert [count_morse_cycles(h, 4), count_morse_cycles(h, 5)] == counts
+    assert all(counts)
+
+
+def test_square_layer_relabelling_invariance_at_4096():
+    # 256 row blocks of 16 rows: the isolated squares and the square count of
+    # a sparse host (c = 0.9 scans take seconds) under one permutation
+    n = 4096
+    g = sample_gnp(n, 0.003, trial_seed(6400 + n, 0))
+    pi = _relabellings(n)[0]
+    h = _relabelled(g, pi)
+    mapped = {CycleWitness.from_cycle([pi[v] for v in s]).vertices for s in isolated_squares(g)}
+    assert set(isolated_squares(h)) == mapped
+    assert len(build_square_graph(h)) == len(build_square_graph(g))
+    assert mapped
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -409,10 +438,22 @@ def _reference_square_graph(g):
     return squares, sizes, comps, isolated, cfs
 
 
+def _disjoint_union(*parts):
+    """The disjoint union of ``parts``, each one's vertices after the last's."""
+    edges, n = [], 0
+    for h in parts:
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    return build_graph(n, edges)
+
+
 ARRAY_LAYER_GRAPHS = (
     [(f"gnp{n}", sample_gnp(n, 0.5, trial_seed(606, n))) for n in range(7)]
     + [("c4", cycle_graph(4)), ("k4", complete_graph(4)), ("k23", complete_bipartite(2, 3)),
        ("k2_50", complete_bipartite(2, 50))]
+    # buckets of equal size in different components: 3, 3 and 10 squares
+    + [("c4+k23+k23+k25", _disjoint_union(cycle_graph(4), complete_bipartite(2, 3),
+                                          complete_bipartite(2, 3), complete_bipartite(2, 5)))]
     + [(f"gnp{n}-{p}", sample_gnp(n, p, trial_seed(607, n))) for n, p in
        [(14, 0.3), (14, 0.5), (40, 0.2), (40, 0.35), (150, 0.07), (150, 0.12)]]
 )

@@ -18,12 +18,17 @@ Layers:
 - ``isolated``: ``has_isolated_square``;
 - ``isolated-all``: the whole ``squares.isolated_squares`` stream;
 - ``square-graph``: ``build_square_graph``;
+- ``components``: ``labels`` and ``supports`` of a fresh ``SquareGraph`` over
+  the arrays ``build_square_graph`` gave once per graph, so only they are timed;
 - ``morse``: ``morse_pruned_cycle_search(g, 5, 8)``;
 - ``sampler``: ``sample_gnp`` itself.
 
 Example, a full filter pass at CFS density against the parent commit::
 
     python tools/ab_layers.py candidates --rev HEAD~1 --n 1024 --tau 1.0 --graphs 3 --rounds 7
+
+``--k2 M`` times the layer on the complete bipartite graph K_{2,M} in place of
+G(n, p) samples: one bucket of M(M - 1)/2 squares.
 """
 
 from __future__ import annotations
@@ -93,6 +98,17 @@ def _square_graph(pkg, g, host):
     return sq.squares, sq.diagonal_index, sq.square_diagonals
 
 
+_BUILT = {}  # id of each side's Graph (held for the whole run) -> its square graph's arrays
+
+
+def _components(pkg, g, host):
+    if id(g) not in _BUILT:
+        sq = pkg.build_square_graph(g)
+        _BUILT[id(g)] = (sq.host_n, sq.squares, sq.diagonal_index, sq.square_diagonals)
+    sq = pkg.squares.SquareGraph(*_BUILT[id(g)])
+    return sq.labels, sq.supports
+
+
 def _morse(pkg, g, host):
     witness = pkg.morse_pruned_cycle_search(g, 5, 8)
     return None if witness is None else witness.vertices
@@ -104,6 +120,7 @@ LAYERS = {
     "isolated": lambda pkg, g, host: pkg.has_isolated_square(g),
     "isolated-all": lambda pkg, g, host: list(pkg.squares.isolated_squares(g)),
     "square-graph": _square_graph,
+    "components": _components,
     "morse": _morse,
     "sampler": lambda pkg, g, host: pkg.sample_gnp(host.n, host.p, host.seed).rows,
 }
@@ -116,8 +133,8 @@ class Host:
     n: int
     rows: tuple[int, ...]
     m: int
-    p: float
-    seed: int
+    p: float | None
+    seed: int | None
 
     def on(self, pkg):
         return pkg.graph.Graph(self.n, self.rows, self.m)
@@ -137,14 +154,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("layer", choices=sorted(LAYERS))
     parser.add_argument("--rev", default="HEAD", help="earlier revision (default HEAD)")
-    parser.add_argument("--n", type=int, required=True, help="vertex count")
+    parser.add_argument("--n", type=int, help="vertex count")
     density = parser.add_mutually_exclusive_group(required=True)
     density.add_argument("--c", type=float, help="p = c * sqrt(ln n / n)")
     density.add_argument("--tau", type=float, help="p = tau * 0.670435 / sqrt(n), the CFS scale")
+    density.add_argument("--k2", type=int, metavar="M", help="K_{2,M} in place of G(n, p)")
     parser.add_argument("--master", type=int, default=3000, help="master seed (default 3000)")
     parser.add_argument("--graphs", type=int, default=3, help="graphs, trial_seed(master, 0..)")
     parser.add_argument("--rounds", type=int, default=7, help="timed calls per graph and side")
     args = parser.parse_args(argv)
+    if (args.n is None) == (args.k2 is None) or args.k2 is not None and args.layer == "sampler":
+        parser.error("need --n with --c or --tau, or --k2 without --n (and not the sampler)")
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
@@ -152,15 +172,19 @@ def main(argv: list[str] | None = None) -> int:
         base = load_package("morsegraph_base", archive_package(args.rev, Path(tmp)))
         work = load_package("morsegraph_work", ROOT / "src" / "morsegraph")
         sides = {"base": base, "work": work}
-        if args.c is not None:
-            p = work.density_from_coefficient(args.c, args.n).p
+        if args.k2 is not None:
+            p, side = None, (1 << args.k2 + 2) - 4  # vertices 0 and 1 against 2 .. M + 1
+            hosts = [Host(args.k2 + 2, (side, side) + (3,) * args.k2, 2 * args.k2, p, None)]
         else:
-            p = min(1.0, args.tau * TAU_COEFFICIENT / math.sqrt(args.n))
-        hosts = []
-        for i in range(args.graphs):
-            seed = work.trial_seed(args.master, i)
-            g = work.sample_gnp(args.n, p, seed)
-            hosts.append(Host(g.n, g.rows, g.m, p, seed))
+            if args.c is not None:
+                p = work.density_from_coefficient(args.c, args.n).p
+            else:
+                p = min(1.0, args.tau * TAU_COEFFICIENT / math.sqrt(args.n))
+            hosts = []
+            for i in range(args.graphs):
+                seed = work.trial_seed(args.master, i)
+                g = work.sample_gnp(args.n, p, seed)
+                hosts.append(Host(g.n, g.rows, g.m, p, seed))
         layer = LAYERS[args.layer]
 
         graphs = {side: [host.on(pkg) for host in hosts] for side, pkg in sides.items()}
@@ -183,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     ratios = [w / b for b, w in zip(times["base"], times["work"])]
     wins = sum(r < 1.0 for r in ratios)
     q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"{args.layer} n={args.n} p={p:.6g} rev={args.rev} graphs={len(hosts)} "
+    host = f"K2,{args.k2}" if p is None else f"n={args.n} p={p:.6g}"
+    print(f"{args.layer} {host} rev={args.rev} graphs={len(hosts)} "
           f"rounds={args.rounds}: outputs equal")
     for side in sides:
         print(f"  {side}: median {1e3 * statistics.median(times[side]):.3f} ms")
