@@ -56,18 +56,18 @@ class SquareGraph:
     def labels(self) -> np.ndarray:
         """The least square id in each square's component.
 
-        ``members[j]`` holds slot ``heads + j`` of each of the ``counts[j]``
-        buckets of more than j squares, by decreasing size, so it is aligned
-        with the start of ``members[0]``: each bucket's later squares are
-        united with its first.
+        ``members[j]`` holds slot ``head + j`` of each of the ``counts[j]``
+        buckets of more than j squares, ``head`` being a bucket's first slot,
+        by decreasing size, so it is aligned with the start of ``members[0]``:
+        each bucket's later squares are united with its first.
         """
         order = np.argsort(self.square_diagonals.ravel())  # square slots by bucket
         sizes = self.bucket_sizes
         by_size = np.argsort(-sizes, kind="stable")
         counts = np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))
-        heads = (np.cumsum(sizes) - sizes)[by_size][_ranges(np.zeros_like(counts), counts)]
-        position = np.repeat(np.arange(len(counts)), counts)
-        members = np.split(order[heads + position] // 2, np.cumsum(counts)[:-1])
+        slots = (np.cumsum(sizes) - sizes)[by_size][_ranges(np.zeros_like(counts), counts)]
+        slots += np.repeat(np.arange(len(counts)), counts)  # head + j
+        members = np.split(order[slots] // 2, np.cumsum(counts)[:-1])
         edges = [np.empty((0, 2), dtype=np.intp)]
         for other in members[1:]:
             edges.append(np.stack([members[0][: len(other)], other], axis=1))
