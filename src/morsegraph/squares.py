@@ -56,10 +56,10 @@ class SquareGraph:
     def labels(self) -> np.ndarray:
         """The least square id in each square's component.
 
-        ``members[j]`` holds slot ``head + j`` of each of the ``counts[j]``
-        buckets of more than j squares, ``head`` being a bucket's first slot,
-        by decreasing size, so it is aligned with the start of ``members[0]``:
-        each bucket's later squares are united with its first.
+        ``members[j]`` holds slot ``head + j``, ``head`` a bucket's first, of
+        each of the ``counts[j]`` buckets of more than j squares by decreasing
+        size, so it is aligned with the start of ``members[0]``: each
+        bucket's later squares are united with its first.
         """
         order = np.argsort(self.square_diagonals.ravel())  # square slots by bucket
         sizes = self.bucket_sizes
