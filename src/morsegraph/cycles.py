@@ -14,10 +14,11 @@ them as index arrays in lexicographic order, in pieces of at most
 triangle, one block of rows at a time.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
 array: each candidate reads its neighbors from its piece's rows, keeps
-the common ones, and pairs the non-adjacent ones.  The isolated-square scan
-of ``squares`` first drops, in numpy, each candidate with two or more
-non-adjacent pairs among its three lowest common neighbors, which rules out
-a singleton bucket, and reads the bucket of one with exactly two common
+the common ones, and pairs the non-adjacent ones.  ``_lowest_gaps`` finds,
+in numpy, each candidate's three lowest common neighbors and the
+non-adjacent pairs among them.  The isolated-square scan of ``squares``
+drops each candidate with two or more of those pairs, which rules out a
+singleton bucket, and reads the bucket of one with exactly two common
 neighbors off those two; it reads the buckets of the rest one at a time
 through ``_diagonal_bucket`` and can stop early.  A square is emitted from its
 smaller diagonal, which makes its vertex order canonical as built.
@@ -37,13 +38,16 @@ rest of the cycle, so its answers are kept in per-vertex bitsets --
 failed -- filled lazily, only for the bits a query asks for.  A pair with
 fewer than two common neighbors always passes, so only the vertices with two
 neighbors in N(u), found by a running OR over the rows of N(u), reach the
-clique test.  A node's cycles are tested at its parent: expanding a vertex
-masks its children once against each middle path vertex and the anchor,
-then ORs the closing vertices of all live children into one mask and tests
-it against each middle vertex and the expanded one.  Popping a child costs
-one bit test, its cycles are read off that mask, and a failed pair cuts
-every branch through it.  A path of L vertices closes an (L + 1)-cycle, so
-a child is expanded only while its children can close a cycle of length
+clique test.  Once those tests pass a fixed share of all vertex pairs, the
+rest of the search reads one table of the failing pairs, built from the
+candidate stream by ``_lowest_gaps``; an early hit never builds it.  A
+node's cycles are tested at its parent: expanding a vertex masks its
+children once against each middle path vertex and the anchor, then ORs the
+closing vertices of all live children into one mask and tests it against
+each middle vertex and the expanded one.  Popping a child costs one bit
+test, its cycles are read off that mask, and a failed pair cuts every
+branch through it.  A path of L vertices closes an (L + 1)-cycle, so a
+child is expanded only while its children can close a cycle of length
 <= kmax.
 """
 
@@ -55,6 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, InvalidWitness, SearchBudgetExceeded
+from .gnp import _int_rows
 from .graph import Graph, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -64,6 +69,9 @@ DEFAULT_SEARCH_BUDGET = 10**8
 _BLOCK_CELLS = 2**16
 # Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
+# ``_make_bad_bits`` builds its table of failing pairs once its lazy clique
+# tests pass n(n - 1)/2 // _TABLE_SHARE; measured on 2-core x86-64, numpy 2.4.
+_TABLE_SHARE = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -238,6 +246,42 @@ def _adjacent(packed: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return (cells >> (vs & 7).astype(np.uint8)) & 1 == 1
 
 
+def _lowest_gaps(
+    packed: np.ndarray, us: np.ndarray, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(gaps, x1, x2, third)`` for the candidate diagonals ``(us[i], ws[i])``:
+    the two lowest common neighbors ``x1 < x2`` of each, whether it has a
+    third, and the number of non-adjacent pairs among the three lowest, or
+    among the two when there is no third: the lowest bits of the words
+    flagged as holding one.  The candidates' rows of ``packed`` are ANDed a
+    chunk of ``_BLOCK_CELLS`` bytes at a time, to flag their nonzero words."""
+    rows = packed.view(np.uint64)
+    filled = np.empty((len(us), rows.shape[1]), dtype=bool)  # per candidate and word
+    step = max(_BLOCK_CELLS // packed.shape[1], 1)  # rows of _BLOCK_CELLS bytes
+    for i in range(0, len(us), step):
+        np.not_equal(rows[us[i : i + step]] & rows[ws[i : i + step]], 0, out=filled[i : i + step])
+    at = filled.argmax(axis=1)
+    word = rows[us, at] & rows[ws, at]
+    lowest = []
+    for _ in range(3):
+        if lowest:  # a spent word gives way to the next flagged one, or to none
+            spent = np.flatnonzero(word == 0)
+            filled[spent, at[spent]] = False
+            at = filled.argmax(axis=1)  # unchanged where the word is not spent
+            fresh = rows[us[spent], at[spent]] & rows[ws[spent], at[spent]]
+            word[spent] = np.where(filled[spent, at[spent]], fresh, 0)  # not a stale word
+        found = word != 0
+        low = word & (~word + 1)
+        lowest.append(64 * at + np.bitwise_count(low - 1))
+        word ^= low
+    del filled  # not held beside the adjacency reads
+    x1, x2, x3 = lowest
+    x3 = np.where(found, x3, x1)  # a missing third neighbor counts in no pair
+    gaps = (~_adjacent(packed, x1, x2)).astype(np.intp)
+    gaps = gaps + (found & ~_adjacent(packed, x1, x3)) + (found & ~_adjacent(packed, x2, x3))
+    return gaps, x1, x2, found
+
+
 def _diagonal_bucket(
     g: Graph, u: int, w: int, limit: int | None = None
 ) -> list[tuple[int, int]]:
@@ -339,6 +383,12 @@ def _make_bad_bits(g: Graph):
     ``known[w]`` learns only the pairs tested.  The test does not depend on
     any surrounding cycle, so a failed pair rules out every Morse cycle of
     length >= 5 through it.
+
+    Once more than n(n - 1)/2 // ``_TABLE_SHARE`` pairs have reached the
+    clique test, the search is past its early hits, and ``_failing_pairs``
+    builds the answers for every pair at once; every later query returns
+    ``table[u] & need``.  The switch counts work done, so a search that
+    stops early never pays for the table.
     """
     rows = g.rows
     known = [0] * g.n
@@ -346,8 +396,13 @@ def _make_bad_bits(g: Graph):
     one = [0] * g.n
     two = [0] * g.n
     left = list(rows)
+    tested, limit = 0, g.n * (g.n - 1) // 2 // _TABLE_SHARE
+    table = None
 
     def bad_bits(u: int, need: int) -> int:
+        nonlocal tested, table
+        if table is not None:
+            return table[u] & need
         todo = need & ~known[u]
         if todo:
             known[u] |= todo
@@ -362,6 +417,7 @@ def _make_bad_bits(g: Graph):
                     seen |= r
                 one[u], two[u], left[u] = seen, both, rest
             todo &= both
+            tested += todo.bit_count()
             bit_u = 1 << u
             failed = 0
             while todo:
@@ -374,9 +430,36 @@ def _make_bad_bits(g: Graph):
                     failed |= low
                     bad[w] |= bit_u
             bad[u] |= failed
+            if tested > limit:
+                table = _failing_pairs(g)
         return bad[u] & need
 
     return bad_bits
+
+
+def _failing_pairs(g: Graph) -> list[int]:
+    """Per vertex ``u``, the bits of the vertices ``w`` non-adjacent to ``u``
+    whose common neighborhood with ``u`` is not a clique.
+
+    Only the pairs of ``_candidate_blocks`` can fail.  One fails when
+    ``_lowest_gaps`` finds a non-adjacent pair among its three lowest common
+    neighbors; of the others, only those with a third common neighbor are
+    tested whole, in Python.  The failing pairs are set both ways into
+    packed 64-bit words, which are read out as int rows.
+    """
+    n, rows = g.n, g.rows
+    packed = _packed_rows(g)
+    words = packed.shape[1] // 8
+    out = np.zeros(n * words, dtype=np.uint64)
+    for us, ws in _candidate_blocks(packed):
+        gaps, _, _, third = _lowest_gaps(packed, us, ws)
+        fail = gaps > 0
+        for i in np.flatnonzero(third & ~fail).tolist():
+            fail[i] = not is_clique_mask(g, rows[us[i]] & rows[ws[i]])
+        us, ws = us[fail], ws[fail]
+        np.bitwise_or.at(out, us * words + (ws >> 6), 1 << (ws & 63).astype(np.uint64))
+        np.bitwise_or.at(out, ws * words + (us >> 6), 1 << (us & 63).astype(np.uint64))
+    return _int_rows(out, words)
 
 
 def _morse_cycles(

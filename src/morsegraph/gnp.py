@@ -300,9 +300,15 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
         v = k - first[u] + u + 1
         np.bitwise_or.at(out, u * words + (v >> 6), 1 << (v & 63).astype(np.uint64))
         np.bitwise_or.at(out, v * words + (u >> 6), 1 << (u & 63).astype(np.uint64))
+    return _int_rows(out, words)
+
+
+def _int_rows(out: np.ndarray, words: int) -> list[int]:
+    """The flat uint64 array ``out`` as int rows of ``words`` words each:
+    bit ``v & 63`` of word ``u * words + (v >> 6)`` is bit ``v`` of row ``u``."""
     buf = memoryview(out.astype("<u8", copy=False)).cast("B")  # no copy of the rows
     stride = words * 8
-    return [int.from_bytes(buf[v * stride : (v + 1) * stride], "little") for v in range(n)]
+    return [int.from_bytes(buf[i : i + stride], "little") for i in range(0, len(buf), stride)]
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:

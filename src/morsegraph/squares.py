@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .cycles import (
-    _BLOCK_CELLS, _adjacent, _candidate_blocks, _diagonal_bucket, _packed_rows, _ranges, _square_blocks
+    _candidate_blocks, _diagonal_bucket, _lowest_gaps, _packed_rows, _ranges, _square_blocks
 )
 from .errors import CapacityExceeded, InvalidParameter
 from .graph import Graph, PathLike, VertexSet
@@ -195,42 +195,6 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
             reciprocal_ok = _diagonal_bucket(g, x, y, 2) == [(u, w)]
             if reciprocal_ok:
                 yield u, x, w, y
-
-
-def _lowest_gaps(
-    packed: np.ndarray, us: np.ndarray, ws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(gaps, x1, x2, third)`` for the candidate diagonals ``(us[i], ws[i])``:
-    the two lowest common neighbors ``x1 < x2`` of each, whether it has a
-    third, and the number of non-adjacent pairs among the three lowest, or
-    among the two when there is no third: the lowest bits of the words
-    flagged as holding one.  The candidates' rows of ``packed`` are ANDed a
-    chunk of ``_BLOCK_CELLS`` bytes at a time, to flag their nonzero words."""
-    rows = packed.view(np.uint64)
-    filled = np.empty((len(us), rows.shape[1]), dtype=bool)  # per candidate and word
-    step = max(_BLOCK_CELLS // packed.shape[1], 1)  # rows of _BLOCK_CELLS bytes
-    for i in range(0, len(us), step):
-        np.not_equal(rows[us[i : i + step]] & rows[ws[i : i + step]], 0, out=filled[i : i + step])
-    at = filled.argmax(axis=1)
-    word = rows[us, at] & rows[ws, at]
-    lowest = []
-    for _ in range(3):
-        if lowest:  # a spent word gives way to the next flagged one, or to none
-            spent = np.flatnonzero(word == 0)
-            filled[spent, at[spent]] = False
-            at = filled.argmax(axis=1)  # unchanged where the word is not spent
-            fresh = rows[us[spent], at[spent]] & rows[ws[spent], at[spent]]
-            word[spent] = np.where(filled[spent, at[spent]], fresh, 0)  # not a stale word
-        found = word != 0
-        low = word & (~word + 1)
-        lowest.append(64 * at + np.bitwise_count(low - 1))
-        word ^= low
-    del filled  # not held beside the adjacency reads
-    x1, x2, x3 = lowest
-    x3 = np.where(found, x3, x1)  # a missing third neighbor counts in no pair
-    gaps = (~_adjacent(packed, x1, x2)).astype(np.intp)
-    gaps = gaps + (found & ~_adjacent(packed, x1, x3)) + (found & ~_adjacent(packed, x2, x3))
-    return gaps, x1, x2, found
 
 
 def has_isolated_square(g: Graph) -> tuple[int, int, int, int] | None:

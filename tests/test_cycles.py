@@ -26,8 +26,10 @@ import morsegraph.cycles as cycles_module
 from morsegraph.cycles import (
     _BLOCK_CELLS,
     _PAIR_CHUNK,
+    _TABLE_SHARE,
     _candidate_blocks,
     _diagonal_bucket,
+    _failing_pairs,
     _make_bad_bits,
     _morse_cycles,
     _packed_rows,
@@ -372,6 +374,88 @@ def test_bad_bits_match_brute_force(monkeypatch, n, p, seed):
     assert small == []
 
 
+def _clique_commons_graph(n, p, seed):
+    """G(n - 18, p) and, on the top 18 vertices, a vertex u whose pairs with
+    w3, w4 and w5 have the cliques K3, K4 and K5 as common neighborhoods, and
+    whose pair with wf has that K4 and a vertex z above it, adjacent to no
+    vertex of the K4: three lowest common neighbors that form a clique under
+    a common neighborhood that does not."""
+    s = list(range(n - 18, n))
+    u, k3, w3, k4, w4, k5, w5, wf, z = s[0], s[1:4], s[4], s[5:9], s[9], s[10:15], s[15], s[16], s[17]
+    g = sample_gnp(n - 18, p, seed)
+    edges = [(a, b) for a, b in combinations(range(n - 18), 2) if g.adjacent(a, b)]
+    for clique, w in ((k3, w3), (k4, w4), (k5, w5)):
+        edges += list(combinations(clique, 2)) + [(u, x) for x in clique] + [(x, w) for x in clique]
+    edges += [(x, wf) for x in k4] + [(u, z), (wf, z)]
+    masks = [sum(1 << x for x in common) for common in (k3, k4, k5, k4 + [z])]
+    return build_graph(n, edges), masks
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_failing_pairs_match_brute_force(monkeypatch, n):
+    # the table against a Python-set clique test on every non-adjacent pair;
+    # the planted host sends its four common neighborhoods of three or more
+    # vertices with no gap among the lowest three to the whole clique test
+    hosts = [sample_gnp(n, p, trial_seed(5300 + n, i)) for i, p in enumerate((0.05, 0.2, 0.45, 0.7))]
+    planted, masks = _clique_commons_graph(n, 0.1, trial_seed(5400, n))
+    tested = []
+    is_clique_mask = cycles_module.is_clique_mask
+
+    def counted(graph, mask):
+        tested.append(mask)
+        return is_clique_mask(graph, mask)
+
+    monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
+    for g in hosts + [planted]:
+        nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
+        want = [0] * n
+        for u, w in combinations(range(n), 2):
+            common = nbrs[u] & nbrs[w]
+            if w not in nbrs[u] and not all(common - {x} <= nbrs[x] for x in common):
+                want[u] |= 1 << w
+                want[w] |= 1 << u
+        del tested[:]
+        assert _failing_pairs(g) == want
+    assert set(masks) <= set(tested)
+    assert all(mask.bit_count() >= 3 for mask in tested)
+
+
+def test_failing_pairs_built_once_and_never_on_an_early_hit(monkeypatch):
+    # a no-hit exists:5:8 search passes the lazy share and builds the table
+    # once; the first pentagon at n = 4096 comes long before it
+    builds = []
+    failing_pairs = cycles_module._failing_pairs
+
+    def built(graph):
+        builds.append(graph.n)
+        return failing_pairs(graph)
+
+    monkeypatch.setattr(cycles_module, "_failing_pairs", built)
+    g = sample_gnp(256, density_from_coefficient(0.95, 256).p, trial_seed(7, 0))
+    assert morse_pruned_cycle_search(g, 5, 8) is None
+    assert builds == [256]
+    g = sample_gnp(4096, density_from_coefficient(0.5, 4096).p, trial_seed(7, 0))
+    assert morse_pruned_cycle_search(g, 5, 5) is not None
+    assert builds == [256]
+
+
+def test_failing_pairs_memory():
+    # at most four copies of one bit per vertex pair (the packed rows, the
+    # filter's transposed copy, the table's words and its int rows) and one
+    # row block's working set: no n x n byte matrix (16 MB here).  At
+    # p = 0.01 every row of the table is nonzero
+    n = 4096
+    g = sample_gnp(n, 0.01, 11)
+    tracemalloc.start()
+    try:
+        table = _failing_pairs(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(table)
+    assert peak <= n * n // 2 + 16 * _BLOCK_CELLS
+
+
 # recorded from the earlier per-pair dict memo engine; a faster pair test
 # or a shallower search must not move a witness or a count
 PRUNED_GOLDEN = [
@@ -439,25 +523,38 @@ def test_smallest_sufficient_budgets_of_other_ranges(n, c, seed, stream_budget, 
         morse_pruned_cycle_search(g, 6, 8, budget=search6_budget - 1)
 
 
-# is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax): each
-# pair with two or more common neighbors is tested once, wherever the DFS
-# asks for it
-CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 2573), (192, 0.95, 3, 8, 14268), (256, 0.5, 4, 8, 12518)]
+# lazy is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax)
+# before it builds its table of failing pairs: each pair with two or more
+# common neighbors is tested once, wherever the DFS asks for it, until more
+# than n(n - 1)/2 // _TABLE_SHARE pairs are tested; every later answer comes
+# from the table
+CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 1020), (192, 0.95, 3, 8, 2295), (256, 0.5, 4, 8, 4081)]
 
 
 @pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
 def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
     g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
-    made = []
+    made, builds = [], []
     is_clique_mask = cycles_module.is_clique_mask
+    failing_pairs = cycles_module._failing_pairs
 
     def counted(graph, mask):
         made.append(mask)
         return is_clique_mask(graph, mask)
 
+    def built(graph):
+        before = len(made)
+        table = failing_pairs(graph)
+        builds.append((before, len(made)))
+        return table
+
     monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
+    monkeypatch.setattr(cycles_module, "_failing_pairs", built)
     list(_morse_cycles(g, 5, kmax))
-    assert len(made) == calls
+    # one table, after the pinned lazy calls, and no lazy call after it
+    [(before, after)] = builds
+    assert before == calls > n * (n - 1) // 2 // _TABLE_SHARE
+    assert len(made) == after
 
 
 # sha256 of repr(list(_morse_cycles(g, 5, kmax))), recorded while the DFS

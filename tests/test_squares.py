@@ -23,9 +23,9 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
-from morsegraph.cycles import _BLOCK_CELLS, _candidate_blocks, _packed_rows
+from morsegraph.cycles import _BLOCK_CELLS, _candidate_blocks, _lowest_gaps, _packed_rows
 import morsegraph.squares as squares_module
-from morsegraph.squares import _lowest_gaps, isolated_squares, square_graph_edges
+from morsegraph.squares import isolated_squares, square_graph_edges
 from helpers import (
     brute_induced_squares,
     complete_bipartite,

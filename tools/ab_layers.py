@@ -21,6 +21,7 @@ Layers:
 - ``components``: ``labels`` and ``supports`` of a fresh ``SquareGraph`` over
   the arrays ``build_square_graph`` gave once per graph, so only they are timed;
 - ``morse``: ``morse_pruned_cycle_search(g, 5, 8)``;
+- ``count5``: ``count_morse_cycles(g, 5)``, the whole pentagon stream;
 - ``sampler``: ``sample_gnp`` itself.
 
 Example, a full filter pass at CFS density against the parent commit::
@@ -122,6 +123,7 @@ LAYERS = {
     "square-graph": _square_graph,
     "components": _components,
     "morse": _morse,
+    "count5": lambda pkg, g, host: pkg.count_morse_cycles(g, 5),
     "sampler": lambda pkg, g, host: pkg.sample_gnp(host.n, host.p, host.seed).rows,
 }
 
