@@ -70,7 +70,12 @@ _BLOCK_CELLS = 2**16
 # Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
 # ``_make_bad_bits`` builds its table of failing pairs once its lazy clique
-# tests pass n(n - 1)/2 // _TABLE_SHARE; measured on 2-core x86-64, numpy 2.4.
+# tests pass max(n(n - 1)/2, _PAIR_CHUNK) // _TABLE_SHARE.  Switching later
+# saves less on a search with no hit (n = 1024, c = 0.85: 0.65 of the lazy
+# time at 4, 0.54 at 8), switching earlier costs more on a late hit
+# (n = 1024, c = 0.7: 1.45 at 16, 1.20 at 8).  The build costs at least one
+# piece of candidates, more than all the lazy tests of a small graph
+# (n = 12: 2.7 times, counted from n(n - 1)/2 alone); 2-core x86-64, numpy 2.4.
 _TABLE_SHARE = 8
 
 
@@ -384,11 +389,11 @@ def _make_bad_bits(g: Graph):
     any surrounding cycle, so a failed pair rules out every Morse cycle of
     length >= 5 through it.
 
-    Once more than n(n - 1)/2 // ``_TABLE_SHARE`` pairs have reached the
-    clique test, the search is past its early hits, and ``_failing_pairs``
-    builds the answers for every pair at once; every later query returns
-    ``table[u] & need``.  The switch counts work done, so a search that
-    stops early never pays for the table.
+    Once more than max(n(n - 1)/2, ``_PAIR_CHUNK``) // ``_TABLE_SHARE``
+    pairs have reached the clique test, the search is past its early hits,
+    and ``_failing_pairs`` builds the answers for every pair at once; every
+    later query returns ``table[u] & need``.  The switch counts work done,
+    so a search that stops early never pays for the table.
     """
     rows = g.rows
     known = [0] * g.n
@@ -396,7 +401,7 @@ def _make_bad_bits(g: Graph):
     one = [0] * g.n
     two = [0] * g.n
     left = list(rows)
-    tested, limit = 0, g.n * (g.n - 1) // 2 // _TABLE_SHARE
+    tested, limit = 0, max(g.n * (g.n - 1) // 2, _PAIR_CHUNK) // _TABLE_SHARE
     table = None
 
     def bad_bits(u: int, need: int) -> int:

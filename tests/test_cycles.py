@@ -329,6 +329,9 @@ def _planted_pairs_graph(n, seed):
 # p = None: the planted-pairs graph at n, sizes on both sides of 64 and 128
 BAD_BITS_GRAPHS = [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)]
 BAD_BITS_GRAPHS += [(63, None, 5), (64, None, 6), (65, None, 7), (129, None, 8)]
+# the last graph's queries pass the lazy share, so the later ones read the
+# table of failing pairs
+BAD_BITS_GRAPHS += [(129, 0.2, 9)]
 
 
 @pytest.mark.parametrize("n, p, seed", BAD_BITS_GRAPHS)
@@ -366,12 +369,21 @@ def test_bad_bits_match_brute_force(monkeypatch, n, p, seed):
             small.append(mask)
         return is_clique_mask(graph, mask)
 
+    builds = []
+    failing_pairs = cycles_module._failing_pairs
+
+    def built(graph):
+        builds.append(graph.n)
+        return failing_pairs(graph)
+
     monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
+    monkeypatch.setattr(cycles_module, "_failing_pairs", built)
     bad_bits = _make_bad_bits(g)
     for u, need in queries:
         want = sum(1 << w for w in need if not clique(nbrs[u] & nbrs[w]))
         assert bad_bits(u, sum(1 << w for w in need)) == want
     assert small == []
+    assert len(builds) == ((n, p, seed) == BAD_BITS_GRAPHS[-1])
 
 
 def _clique_commons_graph(n, p, seed):
@@ -381,7 +393,7 @@ def _clique_commons_graph(n, p, seed):
     vertex of the K4: three lowest common neighbors that form a clique under
     a common neighborhood that does not."""
     s = list(range(n - 18, n))
-    u, k3, w3, k4, w4, k5, w5, wf, z = s[0], s[1:4], s[4], s[5:9], s[9], s[10:15], s[15], s[16], s[17]
+    u, k3, w3, k4, w4, k5, w5, wf, z = s[0], s[1:4], s[4], s[5:9], s[9], s[10:15], *s[15:]
     g = sample_gnp(n - 18, p, seed)
     edges = [(a, b) for a, b in combinations(range(n - 18), 2) if g.adjacent(a, b)]
     for clique, w in ((k3, w3), (k4, w4), (k5, w5)):
@@ -396,7 +408,8 @@ def test_failing_pairs_match_brute_force(monkeypatch, n):
     # the table against a Python-set clique test on every non-adjacent pair;
     # the planted host sends its four common neighborhoods of three or more
     # vertices with no gap among the lowest three to the whole clique test
-    hosts = [sample_gnp(n, p, trial_seed(5300 + n, i)) for i, p in enumerate((0.05, 0.2, 0.45, 0.7))]
+    ps = (0.05, 0.2, 0.45, 0.7)
+    hosts = [sample_gnp(n, p, trial_seed(5300 + n, i)) for i, p in enumerate(ps)]
     planted, masks = _clique_commons_graph(n, 0.1, trial_seed(5400, n))
     tested = []
     is_clique_mask = cycles_module.is_clique_mask
