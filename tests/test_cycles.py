@@ -536,17 +536,16 @@ def test_smallest_sufficient_budgets_of_other_ranges(n, c, seed, stream_budget, 
         morse_pruned_cycle_search(g, 6, 8, budget=search6_budget - 1)
 
 
-# lazy is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax)
-# before it builds its table of failing pairs: each pair with two or more
-# common neighbors is tested once, wherever the DFS asks for it, until more
-# than n(n - 1)/2 // _TABLE_SHARE pairs are tested; every later answer comes
-# from the table
-CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 1020), (192, 0.95, 3, 8, 2295), (256, 0.5, 4, 8, 4081)]
+# is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax) with the
+# table of failing pairs switched off (_TABLE_SHARE = 1: the limit is every
+# pair, which the lazy tests never pass): each pair with two or more common
+# neighbors is tested once, wherever the DFS asks for it
+CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 2573), (192, 0.95, 3, 8, 14268), (256, 0.5, 4, 8, 12518)]
 
 
-@pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
-def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
-    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+def _count_clique_tests(monkeypatch, g, kmax):
+    """Run the whole stream; return the masks the clique test was asked for
+    and, per table build, the number of them asked before and after it."""
     made, builds = [], []
     is_clique_mask = cycles_module.is_clique_mask
     failing_pairs = cycles_module._failing_pairs
@@ -564,6 +563,29 @@ def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
     monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
     monkeypatch.setattr(cycles_module, "_failing_pairs", built)
     list(_morse_cycles(g, 5, kmax))
+    return made, builds
+
+
+@pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
+def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    monkeypatch.setattr(cycles_module, "_TABLE_SHARE", 1)
+    made, builds = _count_clique_tests(monkeypatch, g, kmax)
+    assert builds == []
+    assert len(made) == calls
+
+
+# lazy is_clique_mask calls of the same streams before they build their
+# table of failing pairs: the lazy tests run until more than
+# n(n - 1)/2 // _TABLE_SHARE pairs are tested; every later answer comes from
+# the table
+TABLE_SWITCH_GOLDEN = [(128, 0.5, 1, 5, 1020), (192, 0.95, 3, 8, 2295), (256, 0.5, 4, 8, 4081)]
+
+
+@pytest.mark.parametrize("n, c, seed, kmax, calls", TABLE_SWITCH_GOLDEN)
+def test_morse_stream_table_switch(monkeypatch, n, c, seed, kmax, calls):
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    made, builds = _count_clique_tests(monkeypatch, g, kmax)
     # one table, after the pinned lazy calls, and no lazy call after it
     [(before, after)] = builds
     assert before == calls > n * (n - 1) // 2 // _TABLE_SHARE
