@@ -19,11 +19,13 @@ Two implementations of the pipeline agree bit for bit, and tests hold them
 equal: a pure-Python loop (``_sample_rows_python``), the executable spec,
 which ``sample_gnp`` also uses for small graphs; and a numpy sampler
 (``_sample_rows_numpy``) that steps xoshiro256** in parallel lanes, each
-lane seeded by GF(2) jump-ahead to its offset in the single stream.  A jump
-is applied through a table of 32 byte lookups XORed together, not a matrix
-product, so sampling makes no BLAS call.  The lanes are stepped in place
-through scratch arrays that each block of lanes allocates once, never per
-draw and never shared between calls, so concurrent calls stay independent.
+lane seeded by GF(2) jump-ahead to its offset in the single stream.  Lanes
+lengthen with n so that at most two blocks of lanes cover the stream, and
+each hit's row comes from its pair index in closed form.  A jump is applied
+through a table of 32 byte lookups XORed together, not a matrix product, so
+sampling makes no BLAS call.  The lanes are stepped in place through scratch
+arrays that each block of lanes allocates once, never per draw and never
+shared between calls, so concurrent calls stay independent.
 """
 
 from __future__ import annotations
@@ -260,25 +262,46 @@ def _lane_jump(k: int):
     return table
 
 
+def _pair_rows(k, first):
+    """Row ``u`` of each pair index ``k`` (int64, in [0, n(n - 1)/2)): the ``u``
+    with ``first[u] <= k < first[u + 1]``, ``first`` holding the ``n + 1`` row
+    offsets ``u(b - u)/2``, ``b = 2n - 1``.
+
+    Solving the quadratic gives ``u = floor((b - sqrt(b*b - 8k)) / 2)``, the
+    floor taken by truncation (the root is at most ``b``); one integer
+    comparison each way holds the float estimate to the offsets.
+    """
+    b = 2 * len(first) - 3
+    u = ((b - np.sqrt(b * b - 8 * k)) * 0.5).astype(np.int64)
+    u += first[u + 1] <= k
+    u -= first[u] > k
+    return u
+
+
 def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     """``_sample_rows_python`` with xoshiro256** stepped in parallel lanes.
 
-    Lane ``i`` starts at draw ``i * _LANE_CHUNK`` (seeded by GF(2) jump-ahead,
-    doubling the lane count per byte-table jump) and makes the next
-    ``_LANE_CHUNK`` draws, so the draws read lane by lane are the single
-    stream, i.e. the lexicographic pairs.  Lanes run ``_LANE_BLOCK`` at a
-    time; each block starts where the previous block's last lane stopped.
-    A block steps its ``(4, lanes)`` state in place, its outputs landing in
-    one scratch array of the block's own, and sets one row of a
-    ``(_LANE_CHUNK, lanes)`` hit matrix per step; the hits are read back as
-    flat indices.  A block of ``_LANE_BLOCK * _LANE_CHUNK`` draws bounds the
-    working memory at any n.
+    Each lane makes ``_LANE_CHUNK << shift`` consecutive draws, ``shift``
+    the least that fits the stream into at most two blocks of
+    ``_LANE_BLOCK`` lanes (0 up to n = 1448, 3 at n = 4096).  Lane ``i``
+    starts at draw ``i`` times its length (seeded by GF(2) jump-ahead,
+    doubling the lane count per byte-table jump), so the draws read lane by
+    lane are the single stream, i.e. the lexicographic pairs.  Each block
+    starts where the previous block's last lane stopped.  A block steps its
+    ``(4, lanes)`` state in place, its outputs landing in one scratch array
+    of the block's own, in time slices of ``_LANE_CHUNK`` steps: a slice
+    sets one row of a ``(_LANE_CHUNK, lanes)`` hit matrix per step, and its
+    hits are read back as flat indices, so the working memory is bounded at
+    any n.  A hit's row comes from its pair index in closed form
+    (``_pair_rows``), in whatever order the hits arrive.
     """
     pairs = n * (n - 1) // 2
-    lanes_total = -(-pairs // _LANE_CHUNK)
+    shift = (-(-pairs // (2 * _LANE_BLOCK * _LANE_CHUNK)) - 1).bit_length()
+    length = _LANE_CHUNK << shift
+    lanes_total = -(-pairs // length)
     thr = np.uint64(threshold)
     # stream offset of pair (u, u + 1): row u's pairs are contiguous from there
-    first = np.arange(n, dtype=np.int64)
+    first = np.arange(n + 1, dtype=np.int64)
     first = first * (2 * n - first - 1) // 2
     words = (n + 63) // 64
     out = np.zeros(n * words, dtype=np.uint64)
@@ -286,20 +309,21 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     for lane0 in range(0, lanes_total, _LANE_BLOCK):
         count = min(_LANE_BLOCK, lanes_total - lane0)
         for level in range((count - 1).bit_length()):
-            state = np.concatenate([state, _jump(state[: count - len(state)], _lane_jump(level))])
+            state = np.concatenate([state, _jump(state[: count - len(state)], _lane_jump(shift + level))])
         s = state.T.copy()
         steps = _xoshiro_steps(s)
         hits = np.empty((_LANE_CHUNK, count), dtype=bool)
-        for row in hits:
-            np.less(next(steps), thr, out=row)
+        for step0 in range(0, length, _LANE_CHUNK):
+            for row in hits:
+                np.less(next(steps), thr, out=row)
+            j, lane = np.divmod(np.flatnonzero(hits), count)
+            k = (lane0 + lane) * length + (step0 + j)
+            k = k[k < pairs]
+            u = _pair_rows(k, first)
+            v = k - first[u] + u + 1
+            np.bitwise_or.at(out, u * words + (v >> 6), 1 << (v & 63).astype(np.uint64))
+            np.bitwise_or.at(out, v * words + (u >> 6), 1 << (u & 63).astype(np.uint64))
         state = s[:, -1:].T
-        j, lane = np.divmod(np.flatnonzero(hits), count)
-        k = (lane0 + lane) * _LANE_CHUNK + j
-        k = k[k < pairs]
-        u = np.searchsorted(first, k, side="right") - 1
-        v = k - first[u] + u + 1
-        np.bitwise_or.at(out, u * words + (v >> 6), 1 << (v & 63).astype(np.uint64))
-        np.bitwise_or.at(out, v * words + (u >> 6), 1 << (u & 63).astype(np.uint64))
     return _int_rows(out, words)
 
 

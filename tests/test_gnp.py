@@ -25,6 +25,7 @@ from morsegraph.gnp import (
     _NUMPY_MIN_PAIRS,
     _jump,
     _lane_jump,
+    _pair_rows,
     _sample_rows_numpy,
     _sample_rows_python,
     _threshold_u64,
@@ -184,12 +185,28 @@ def test_kernel_and_python_paths_agree():
         n = _first_n(lambda pairs: pairs > _LANE_CHUNK and pairs % _LANE_CHUNK == rem)
         cases.append((n, 0.45, rem))
     cases.append((_first_n(lambda pairs: pairs > _LANE_BLOCK * _LANE_CHUNK, 1000), 0.02, 3))
-    # three blocks, the last holding few lanes (n = 1449: 4 lanes, the last
-    # one part full); no n below 4000 leaves exactly one lane in a last block
+    # the first n whose lanes lengthen (n = 1449: lanes of 256 draws in two
+    # blocks, the second holding 2 lanes, the last one part full); n = 2897,
+    # whose second block holds exactly one lane, is in the digest goldens
     cases.append((_first_n(lambda pairs: pairs > 2 * _LANE_BLOCK * _LANE_CHUNK, 1400), 0.05, 4))
     for n, p, seed in cases:
         threshold = _threshold_u64(p)
         assert _sample_rows_numpy(n, threshold, seed) == _sample_rows_python(n, threshold, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 1025, 1449, 4096, 2**16])
+def test_pair_rows_closed_form(n):
+    # the closed-form row of a pair index is the row searchsorted finds: at
+    # each row's first and last pair, one either side of both, and inside
+    pairs = n * (n - 1) // 2
+    first = np.arange(n + 1, dtype=np.int64)
+    first = first * (2 * n - first - 1) // 2
+    last = first[1:] - 1
+    edges = np.concatenate([first[:-1] + d for d in (-1, 0, 1)] + [last + d for d in (-1, 0, 1)])
+    inner = np.random.default_rng(n).integers(0, pairs, size=4096)
+    k = np.concatenate([edges, inner])
+    k = k[(k >= 0) & (k < pairs)]
+    assert np.array_equal(_pair_rows(k, first), np.searchsorted(first, k, side="right") - 1)
 
 
 def _rows_digest(g):
@@ -201,7 +218,8 @@ def test_sample_digest_golden():
     # regression pin for the numpy lanes at sizes where the pure-Python spec
     # is too slow to compare against: the edge count and the SHA-256 of the
     # rows as little-endian bytes, recorded before the lane kernel stepped
-    # its state in place
+    # its state in place (n = 2897: before the lanes lengthened with n; its
+    # second block holds one lane of 1024 draws, part full)
     cases = [
         (2048, density_from_coefficient(0.5, 2048).p, trial_seed(7, 0), 64049,
          "3d55473e1776d9a494572eb2e93b5019b13819713c52b36afd5cca3848801119"),
@@ -211,6 +229,8 @@ def test_sample_digest_golden():
          "d3726cb6c99c2663fa7825cc6100b8a8b2639251d2ad2f371b222671bd13b503"),
         (4096, 0.001, MASK64, 8250,
          "c295c3f388f74f81316c77fb526beb15a081e2ec0acd363270bcb6ed24161137"),
+        (2897, density_from_coefficient(0.7, 2897).p, trial_seed(21, 0), 153700,
+         "f0857ce8cd0b549a8d7e7aade83b9bd772d128d72f7747b6ea67e1cb9ac15803"),
     ]
     for n, p, seed, m, digest in cases:
         g = sample_gnp(n, p, seed)
@@ -244,9 +264,10 @@ def test_concurrent_sampling_matches_sequential():
 
 def test_sampler_memory():
     # a call holds the packed words and the Python rows, n * n / 8 bytes
-    # each, and one block of lanes: its draws' hit flags and indices and the
-    # jump-ahead temporaries that seed it, under 4 MiB for 4096 lanes of 128
-    # draws; a block of 16384 lanes peaks at 20 MiB in this test (numpy 2.4)
+    # each, and one block of lanes: the hit flags and indices of one time
+    # slice of 128 draws a lane and the jump-ahead temporaries that seed the
+    # block, under 4 MiB for 4096 lanes (of 1024 draws each at n = 4096); a
+    # block of 16384 lanes peaks at 20 MiB in this test (numpy 2.4)
     n = 4096
     p = density_from_coefficient(0.9, n).p
     sample_gnp(n, p, trial_seed(11, 0))  # builds the cached jump tables
@@ -259,7 +280,7 @@ def test_sampler_memory():
     assert peak <= n * n // 4 + 4 * 2**20
     # perfbench's sampler-lane-block-start fault (a block starting from the
     # wrong lane of the one before) shows only in a graph spanning two
-    # blocks; its oracle samples n = 1025
+    # blocks; its oracle samples n = 1025, whose lanes keep 128 draws
     assert _LANE_BLOCK * _LANE_CHUNK < 1025 * 1024 // 2
 
 

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import morsegraph.cycles as cycles_module
 from morsegraph import (
     InvalidWitness,
     VertexOutOfRange,
     build_graph,
     build_square_graph,
     count_morse_cycles,
+    density_from_coefficient,
     enumerate_induced_cycles,
     enumerate_induced_squares,
     is_morse_cycle,
@@ -117,6 +119,29 @@ def test_pruned_count_matches_filtered_enumeration(seed):
             1 for w in enumerate_induced_cycles(g, k) if is_morse_cycle(g, w)
         )
         assert count_morse_cycles(g, k) == brute
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pentagon_count_complete_at_n256(monkeypatch, seed):
+    # past n = 129 only this path checks that the pruned count misses no
+    # cycle: the plain induced-cycle DFS filtered by the definition shares no
+    # code with the candidate filter, the lazy clique tests or the table of
+    # failing pairs.  With the table's residual clique tests skipped,
+    # trial_seed(7, 1) counts 418 pentagons, not 416
+    builds = []
+    failing_pairs = cycles_module._failing_pairs
+
+    def built(graph):
+        builds.append(graph.n)
+        return failing_pairs(graph)
+
+    monkeypatch.setattr(cycles_module, "_failing_pairs", built)
+    g = sample_gnp(256, density_from_coefficient(0.5, 256).p, trial_seed(7, seed))
+    count = count_morse_cycles(g, 5)
+    assert builds == [256]  # the count answered its late pairs from the table
+    assert count == sum(
+        1 for w in enumerate_induced_cycles(g, 5) if is_morse_subgraph(g, w.vertices)
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))

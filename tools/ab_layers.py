@@ -10,6 +10,9 @@ timing.  Calls are then interleaved, the side that goes first alternating
 between rounds, with the process pinned to one CPU.  The report gives each
 side's median time, the median and quartiles of the paired ratios
 work / base (below 1 is faster), and how many pairs the working tree won.
+After the timing, one more call per graph and side runs under
+``tracemalloc``; the report ends with each side's peaks, so a layer change
+shows whether it is memory-neutral.
 
 Layers:
 
@@ -45,6 +48,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,6 +210,16 @@ def main(argv: list[str] | None = None) -> int:
                     layer(sides[side], g, host)
                     times[side].append(time.perf_counter() - start)
 
+        peaks = {side: [] for side in sides}
+        for i, host in enumerate(hosts):
+            for side, pkg in sides.items():
+                tracemalloc.start()
+                try:
+                    layer(pkg, graphs[side][i], host)
+                    peaks[side].append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
     ratios = [w / b for b, w in zip(times["base"], times["work"])]
     wins = sum(r < 1.0 for r in ratios)
     q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
@@ -216,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {side}: median {1e3 * statistics.median(times[side]):.3f} ms")
     print(f"  work/base paired ratio: median {med:.3f} [q1 {q1:.3f}, q3 {q3:.3f}], "
           f"work faster in {wins} of {len(ratios)}")
+    for side in sides:
+        print(f"  {side}: tracemalloc peak per graph "
+              + ", ".join(f"{peak / 2**20:.2f}" for peak in peaks[side]) + " MiB")
     return 0
 
 
