@@ -35,11 +35,9 @@ every pair of its vertices that is non-adjacent in the host has a clique
 as common neighborhood (an empty bucket).  The test does not depend on the
 rest of the cycle, so its answers are kept in per-vertex bitsets --
 ``known[u]``, the vertices tested against ``u``, and ``bad[u]``, those that
-failed -- filled lazily, only for the bits a query asks for.  A pair with
-fewer than two common neighbors always passes, so only the vertices with two
-neighbors in N(u), found by a running OR over the rows of N(u), reach the
-clique test.  Once those tests pass a fixed share of all vertex pairs, the
-rest of the search reads one table of the failing pairs, built from the
+failed -- filled lazily, each pair tested once, the first time a query asks
+for it.  Once those tests pass a fixed share of all vertex pairs, the rest
+of the search reads one table of the failing pairs, built from the
 candidate stream by ``_lowest_gaps``; an early hit never builds it.  A
 node's cycles are tested at its parent: expanding a vertex masks its
 children once against each middle path vertex and the anchor, then ORs the
@@ -70,12 +68,13 @@ _BLOCK_CELLS = 2**16
 # Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
 # ``_make_bad_bits`` builds its table of failing pairs once its lazy clique
-# tests pass max(n(n - 1)/2, _PAIR_CHUNK) // _TABLE_SHARE.  Switching later
-# saves less on a search with no hit (n = 1024, c = 0.85: 0.65 of the lazy
-# time at 4, 0.54 at 8), switching earlier costs more on a late hit
-# (n = 1024, c = 0.7: 1.45 at 16, 1.20 at 8).  The build costs at least one
-# piece of candidates, more than all the lazy tests of a small graph
-# (n = 12: 2.7 times, counted from n(n - 1)/2 alone); 2-core x86-64, numpy 2.4.
+# tests, one per queried pair, pass max(n(n - 1)/2, _PAIR_CHUNK) // _TABLE_SHARE.
+# Against 8 (n = 1024, six graphs a cell): 4 slows a search with no hit
+# (c = 0.85: 1.20-1.28 of its time); 16 speeds it (0.88-0.91) but makes more
+# late hits pay the build (c = 0.7: one graph in six, 3 times slower).  The
+# build costs at least one piece of candidates, more than all the lazy tests
+# of a small graph (n = 12: 2.7 times, counted from n(n - 1)/2 alone); 2-core
+# x86-64, numpy 2.4.
 _TABLE_SHARE = 8
 
 
@@ -378,16 +377,12 @@ def _make_bad_bits(g: Graph):
     neighborhood with ``u`` is not a clique; every ``w`` in ``need`` must be
     non-adjacent to ``u``.  ``known[u]`` holds the vertices already tested
     against ``u`` and ``bad[u]`` those that failed, so only the bits a query
-    asks for and has not asked before are tested.  A pair with fewer than two
-    common neighbors passes without a clique test: only the bits of
-    ``two[u]``, the vertices seen with two neighbors in N(u), reach it.
-    ``two[u]`` and ``one[u]`` (those seen with one) come from a running OR
-    over the rows of N(u); a query folds in the neighbors in ``left[u]``
-    only until its bits are all in ``two[u]`` or N(u) is used up, so in a
-    dense graph a few rows settle it.  The relation is symmetric, so
-    ``known[w]`` learns only the pairs tested.  The test does not depend on
-    any surrounding cycle, so a failed pair rules out every Morse cycle of
-    length >= 5 through it.
+    asks for and has not asked before are tested.  The relation is
+    symmetric, so ``known[w]`` learns each pair tested against ``u``, and
+    each unordered pair reaches the clique test at most once; one with
+    fewer than two common neighbors costs it one loop step at most.  The
+    test does not depend on any surrounding cycle, so a failed pair rules
+    out every Morse cycle of length >= 5 through it.
 
     Once more than max(n(n - 1)/2, ``_PAIR_CHUNK``) // ``_TABLE_SHARE``
     pairs have reached the clique test, the search is past its early hits,
@@ -398,9 +393,6 @@ def _make_bad_bits(g: Graph):
     rows = g.rows
     known = [0] * g.n
     bad = [0] * g.n
-    one = [0] * g.n
-    two = [0] * g.n
-    left = list(rows)
     tested, limit = 0, max(g.n * (g.n - 1) // 2, _PAIR_CHUNK) // _TABLE_SHARE
     table = None
 
@@ -411,17 +403,6 @@ def _make_bad_bits(g: Graph):
         todo = need & ~known[u]
         if todo:
             known[u] |= todo
-            both, rest = two[u], left[u]
-            if rest and todo & ~both:
-                seen = one[u]
-                while rest and todo & ~both:
-                    v = rest & -rest
-                    rest ^= v
-                    r = rows[v.bit_length() - 1]
-                    both |= seen & r
-                    seen |= r
-                one[u], two[u], left[u] = seen, both, rest
-            todo &= both
             tested += todo.bit_count()
             bit_u = 1 << u
             failed = 0

@@ -329,9 +329,10 @@ def _planted_pairs_graph(n, seed):
 # p = None: the planted-pairs graph at n, sizes on both sides of 64 and 128
 BAD_BITS_GRAPHS = [(14, 0.35, 1), (14, 0.6, 2), (40, 0.2, 3), (40, 0.35, 4)]
 BAD_BITS_GRAPHS += [(63, None, 5), (64, None, 6), (65, None, 7), (129, None, 8)]
-# the last graph's queries pass the lazy share, so the later ones read the
-# table of failing pairs
-BAD_BITS_GRAPHS += [(129, 0.2, 9)]
+# the queries of every graph past n = 14 pass the lazy share, so the later ones
+# read the table of failing pairs; in the last graph most queried pairs have
+# fewer than two common neighbors
+BAD_BITS_GRAPHS += [(129, 0.2, 9), (129, 0.05, 10)]
 
 
 @pytest.mark.parametrize("n, p, seed", BAD_BITS_GRAPHS)
@@ -357,33 +358,41 @@ def test_bad_bits_match_brute_force(monkeypatch, n, p, seed):
         for _ in range(4):
             need = rng.sample(far, rng.randint(0, len(far)))
             queries += [(u, need), (u, need)]
-    if p is None:
-        queries += [(u0, [w]) for w in planted] + [(w, [u0]) for w in planted]
     rng.shuffle(queries)
-    # a pair with fewer than two common neighbors never reaches the clique test
-    small = []
+    if p is None:  # first, so that the lazy test answers them, both ways round
+        queries = [(u0, [w]) for w in planted] + [(w, [u0]) for w in planted] + queries
+    made, builds = [], []
     is_clique_mask = cycles_module.is_clique_mask
-
-    def counted(graph, mask):
-        if mask.bit_count() < 2:
-            small.append(mask)
-        return is_clique_mask(graph, mask)
-
-    builds = []
     failing_pairs = cycles_module._failing_pairs
 
+    def counted(graph, mask):
+        made.append(mask)
+        return is_clique_mask(graph, mask)
+
     def built(graph):
-        builds.append(graph.n)
-        return failing_pairs(graph)
+        before = len(made)
+        table = failing_pairs(graph)
+        builds.append((before, len(made)))
+        return table
 
     monkeypatch.setattr(cycles_module, "is_clique_mask", counted)
     monkeypatch.setattr(cycles_module, "_failing_pairs", built)
     bad_bits = _make_bad_bits(g)
+    asked = set()  # the unordered pairs of the queries made before the build
     for u, need in queries:
+        if not builds:
+            asked.update((min(u, w), max(u, w)) for w in need)
         want = sum(1 << w for w in need if not clique(nbrs[u] & nbrs[w]))
         assert bad_bits(u, sum(1 << w for w in need)) == want
-    assert small == []
-    assert len(builds) == ((n, p, seed) == BAD_BITS_GRAPHS[-1])
+    # before the build, each distinct pair asked for reaches the clique test
+    # exactly once, whichever way round and however often it was asked; none
+    # reaches it after the build
+    [(before, after)] = builds or [(len(made), len(made))]
+    lazy = sorted(made[:before])
+    assert lazy == sorted(g.rows[u] & g.rows[w] for u, w in asked)
+    assert len(made) == after
+    assert len(builds) == (n > 14)
+    assert len(builds) == (len(asked) > max(n * (n - 1) // 2, _PAIR_CHUNK) // _TABLE_SHARE)
 
 
 def _clique_commons_graph(n, p, seed):
@@ -538,9 +547,14 @@ def test_smallest_sufficient_budgets_of_other_ranges(n, c, seed, stream_budget, 
 
 # is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax) with the
 # table of failing pairs switched off (_TABLE_SHARE = 1: the limit is every
-# pair, which the lazy tests never pass): each pair with two or more common
-# neighbors is tested once, wherever the DFS asks for it
-CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 2573), (192, 0.95, 3, 8, 14268), (256, 0.5, 4, 8, 12518)]
+# pair, which the lazy tests never pass): each pair the DFS asks for is tested
+# once, wherever it asks; "calls" counts those with two or more common
+# neighbors, pinned before pairs with fewer reached the test, "total" all
+CLIQUE_TEST_GOLDEN = [
+    (128, 0.5, 1, 5, 2573, 6096),
+    (192, 0.95, 3, 8, 14268, 14673),
+    (256, 0.5, 4, 8, 12518, 30204),
+]
 
 
 def _count_clique_tests(monkeypatch, g, kmax):
@@ -566,20 +580,21 @@ def _count_clique_tests(monkeypatch, g, kmax):
     return made, builds
 
 
-@pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
-def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
+@pytest.mark.parametrize("n, c, seed, kmax, calls, total", CLIQUE_TEST_GOLDEN)
+def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls, total):
     g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
     monkeypatch.setattr(cycles_module, "_TABLE_SHARE", 1)
     made, builds = _count_clique_tests(monkeypatch, g, kmax)
     assert builds == []
-    assert len(made) == calls
+    assert sum(mask.bit_count() >= 2 for mask in made) == calls
+    assert len(made) == total
 
 
 # lazy is_clique_mask calls of the same streams before they build their
 # table of failing pairs: the lazy tests run until more than
 # n(n - 1)/2 // _TABLE_SHARE pairs are tested; every later answer comes from
 # the table
-TABLE_SWITCH_GOLDEN = [(128, 0.5, 1, 5, 1020), (192, 0.95, 3, 8, 2295), (256, 0.5, 4, 8, 4081)]
+TABLE_SWITCH_GOLDEN = [(128, 0.5, 1, 5, 1018), (192, 0.95, 3, 8, 2294), (256, 0.5, 4, 8, 4081)]
 
 
 @pytest.mark.parametrize("n, c, seed, kmax, calls", TABLE_SWITCH_GOLDEN)

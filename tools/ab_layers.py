@@ -12,7 +12,10 @@ side's median time, the median and quartiles of the paired ratios
 work / base (below 1 is faster), and how many pairs the working tree won.
 After the timing, one more call per graph and side runs under
 ``tracemalloc``; the report ends with each side's peaks, so a layer change
-shows whether it is memory-neutral.
+shows whether it is memory-neutral.  For ``morse`` and ``count5`` it also
+gives, per side, on how many graphs the Morse pair test built its table of
+failing pairs (calls of ``cycles._failing_pairs`` in the untimed output
+check), so a change that moves the switch shows it, not only the time.
 
 Layers:
 
@@ -119,6 +122,29 @@ def _morse(pkg, g, host):
     return None if witness is None else witness.vertices
 
 
+# the layers whose Morse pair test may build its table of failing pairs
+TABLE_LAYERS = ("morse", "count5")
+
+
+def with_table_builds(pkg, call):
+    """``call()``'s result and how many tables of failing pairs it built
+    (calls of ``pkg.cycles._failing_pairs``), ``None`` if ``pkg`` has none."""
+    build = getattr(pkg.cycles, "_failing_pairs", None)
+    if build is None:
+        return call(), None
+    graphs = []
+
+    def counted(g):
+        graphs.append(g)
+        return build(g)
+
+    pkg.cycles._failing_pairs = counted
+    try:
+        return call(), len(graphs)
+    finally:
+        pkg.cycles._failing_pairs = build
+
+
 LAYERS = {
     "candidates": _candidates,
     "first-piece": _first_piece,
@@ -194,8 +220,14 @@ def main(argv: list[str] | None = None) -> int:
         layer = LAYERS[args.layer]
 
         graphs = {side: [host.on(pkg) for host in hosts] for side, pkg in sides.items()}
+        tables = {side: [] for side in sides}  # per graph, the pair tables built
         for i, host in enumerate(hosts):  # equal outputs, and warm caches, before any timing
-            outputs = [layer(pkg, graphs[side][i], host) for side, pkg in sides.items()]
+            outputs = []
+            for side, pkg in sides.items():
+                g = graphs[side][i]
+                output, built = with_table_builds(pkg, lambda: layer(pkg, g, host))
+                outputs.append(output)
+                tables[side].append(built)
             if not same(*outputs):
                 print(f"MISMATCH on seed {host.seed}: the two trees disagree", file=sys.stderr)
                 return 1
@@ -233,6 +265,14 @@ def main(argv: list[str] | None = None) -> int:
     for side in sides:
         print(f"  {side}: tracemalloc peak per graph "
               + ", ".join(f"{peak / 2**20:.2f}" for peak in peaks[side]) + " MiB")
+    if args.layer in TABLE_LAYERS:
+        for side in sides:
+            built = tables[side]
+            if None in built:
+                print(f"  {side}: no table of failing pairs at this revision")
+            else:
+                print(f"  {side}: pair table built on {sum(b > 0 for b in built)} "
+                      f"of {len(built)} graphs")
     return 0
 
 
