@@ -548,13 +548,10 @@ def test_smallest_sufficient_budgets_of_other_ranges(n, c, seed, stream_budget, 
 # is_clique_mask calls of the whole stream _morse_cycles(g, 5, kmax) with the
 # table of failing pairs switched off (_TABLE_SHARE = 1: the limit is every
 # pair, which the lazy tests never pass): each pair the DFS asks for is tested
-# once, wherever it asks; "calls" counts those with two or more common
-# neighbors, pinned before pairs with fewer reached the test, "total" all
-CLIQUE_TEST_GOLDEN = [
-    (128, 0.5, 1, 5, 2573, 6096),
-    (192, 0.95, 3, 8, 14268, 14673),
-    (256, 0.5, 4, 8, 12518, 30204),
-]
+# once, wherever it asks.  "calls" counts the pairs with two or more common
+# neighbors, pinned while only those reached the test; the totals count all
+CLIQUE_TEST_GOLDEN = [(128, 0.5, 1, 5, 2573), (192, 0.95, 3, 8, 14268), (256, 0.5, 4, 8, 12518)]
+CLIQUE_TEST_TOTALS = {(128, 0.5, 1): 6096, (192, 0.95, 3): 14673, (256, 0.5, 4): 30204}
 
 
 def _count_clique_tests(monkeypatch, g, kmax):
@@ -580,20 +577,20 @@ def _count_clique_tests(monkeypatch, g, kmax):
     return made, builds
 
 
-@pytest.mark.parametrize("n, c, seed, kmax, calls, total", CLIQUE_TEST_GOLDEN)
-def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls, total):
+@pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
+def test_morse_stream_clique_test_count(monkeypatch, n, c, seed, kmax, calls):
     g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
     monkeypatch.setattr(cycles_module, "_TABLE_SHARE", 1)
     made, builds = _count_clique_tests(monkeypatch, g, kmax)
     assert builds == []
     assert sum(mask.bit_count() >= 2 for mask in made) == calls
-    assert len(made) == total
+    assert len(made) == CLIQUE_TEST_TOTALS[n, c, seed]
 
 
 # lazy is_clique_mask calls of the same streams before they build their
 # table of failing pairs: the lazy tests run until more than
-# n(n - 1)/2 // _TABLE_SHARE pairs are tested; every later answer comes from
-# the table
+# n(n - 1)/2 // _TABLE_SHARE pairs are tested, each pair a query asks for
+# counting; every later answer comes from the table
 TABLE_SWITCH_GOLDEN = [(128, 0.5, 1, 5, 1018), (192, 0.95, 3, 8, 2294), (256, 0.5, 4, 8, 4081)]
 
 
