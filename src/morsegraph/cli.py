@@ -16,8 +16,6 @@ import sys
 from dataclasses import asdict
 from typing import Sequence
 
-import numpy as np
-
 from . import analytic as analytic_mod
 from .errors import ConfigError, MorsegraphError
 from .experiment import (
@@ -32,6 +30,7 @@ from .gnp import density_from_coefficient, density_from_probability, sample_gnp
 from .graph import read_edge_list, write_edge_list
 from .squares import (
     build_square_graph,
+    components,
     dump_square_graph,
     is_cfs,
     is_square_graph_connected,
@@ -60,20 +59,24 @@ def _build_parser() -> argparse.ArgumentParser:
     density.add_argument("--c", type=float, help="coefficient for p = c*sqrt(ln n / n)")
     gen.add_argument("--seed", type=int, required=True, help="sampler seed (64-bit)")
     gen.add_argument("--out", required=True, help="output edge-list path")
+    gen.set_defaults(run=_cmd_gen)
 
     check = sub.add_parser("check", help="evaluate one property on a stored graph")
     check.add_argument("--in", dest="path", required=True, help="edge-list path")
     check.add_argument(
         "--property", type=_property_tag, required=True, help="property tag, e.g. morse-cycle-exists:5:8"
     )
+    check.set_defaults(run=_cmd_check)
 
     square = sub.add_parser("squaregraph", help="square-graph statistics of a stored graph")
     square.add_argument("--in", dest="path", required=True, help="edge-list path")
     square.add_argument("--dump", help="write the square graph as an edge list (+ .json vertex map)")
+    square.set_defaults(run=_cmd_squaregraph)
 
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep from a JSON config")
     sweep.add_argument("--config", required=True, help="sweep config JSON path")
     sweep.add_argument("--workers", type=int, default=None, help="worker processes, >= 1 (default: CPUs this process may use)")
+    sweep.set_defaults(run=_cmd_sweep)
 
     ana = sub.add_parser("analytic", help="closed-form expectations and thresholds")
     ana.add_argument("--n", type=int, required=True)
@@ -84,11 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(_ANALYTIC),
     )
     ana.add_argument("--k", type=int, default=None)
+    ana.set_defaults(run=lambda args: _cmd_analytic(args, parser))
 
     oracle = sub.add_parser("oracle", help="run the cross-validation corpus")
     oracle.add_argument("--max-n", type=int, default=12, help="largest graph size, 5..12")
     oracle.add_argument("--trials", type=int, default=100, help="random subsets per graph, >= 0")
     oracle.add_argument("--seed", type=int, default=20240801)
+    oracle.set_defaults(run=_cmd_oracle)
 
     return parser
 
@@ -122,13 +127,11 @@ def _cmd_squaregraph(args) -> int:
     if args.dump:
         dump_square_graph(sq, args.dump)
         print(f"square graph written to {args.dump} (+ .json)", file=sys.stderr)
-    # a component's least square is the only one labelled with itself
-    roots = np.count_nonzero(sq.labels == np.arange(len(sq)))
     _emit(
         {
             "squares": len(sq),
             "isolated": isolated_count(sq),
-            "components": int(roots),
+            "components": len(components(sq)),
             "cfs": is_cfs(g, sq),
             "connected": is_square_graph_connected(sq),
             "empty": len(sq) == 0,
@@ -200,26 +203,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "squaregraph":
-            return _cmd_squaregraph(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "analytic":
-            return _cmd_analytic(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except MorsegraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

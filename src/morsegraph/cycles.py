@@ -350,19 +350,16 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
-Diagonals = tuple[tuple[int, int], tuple[int, int]]
-
-
-def enumerate_induced_squares(g: Graph) -> Iterator[tuple[CycleWitness, Diagonals]]:
-    """Yield each induced 4-cycle of ``g`` once, with its two diagonals.
+def enumerate_induced_squares(g: Graph) -> Iterator[CycleWitness]:
+    """Yield each induced 4-cycle of ``g`` once, as a canonical witness.
 
     A view over ``_square_blocks``: squares come in its order, one piece of
-    candidate diagonals at a time, as canonical ``(u, x, w, y)`` witnesses
-    with diagonals ``((u, w), (x, y))``.
+    candidate diagonals at a time.  A witness ``(u, x, w, y)`` has the
+    diagonals ``(u, w)`` and ``(x, y)``, at positions 0, 2 and 1, 3.
     """
     for block in _square_blocks(g):
-        for u, x, w, y in block.tolist():
-            yield CycleWitness((u, x, w, y)), ((u, w), (x, y))
+        for square in block.tolist():
+            yield CycleWitness(tuple(square))
 
 
 # ---------------------------------------------------------------------------

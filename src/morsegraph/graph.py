@@ -1,9 +1,8 @@
 """Immutable simplicial graphs on dense integer vertices.
 
 Adjacency is stored as one bitmask per vertex (arbitrary-precision Python
-ints used as bitsets), which keeps neighborhood intersection, clique
-testing, and induced-square detection cheap for vertex counts well past
-4096.  All operations are read-only; a ``Graph`` never changes after
+ints used as bitsets), which keeps neighborhood intersection and clique
+testing cheap for vertex counts well past 4096.  All operations are read-only; a ``Graph`` never changes after
 construction, so instances may be shared freely across threads and
 processes.
 """
@@ -11,11 +10,9 @@ processes.
 from __future__ import annotations
 
 import os
-from typing import IO, Iterable, Iterator, TypeAlias, Union
+from typing import IO, Iterable, Iterator, Union
 
 from .errors import EdgeListFormatError, InvalidEdge, VertexOutOfRange
-
-VertexSet: TypeAlias = frozenset[int]
 
 
 def iter_bits(mask: int) -> Iterator[int]:

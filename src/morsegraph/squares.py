@@ -22,7 +22,7 @@ from .cycles import (
     _candidate_blocks, _diagonal_bucket, _lowest_gaps, _packed_rows, _ranges, _square_blocks
 )
 from .errors import CapacityExceeded, InvalidParameter
-from .graph import Graph, PathLike, VertexSet
+from .graph import Graph, PathLike
 
 DEFAULT_SQUARE_CAP = 10**7
 
@@ -95,17 +95,6 @@ class SquareGraph:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         return keys // n, keys % n
 
-    @cached_property
-    def _components(self) -> tuple[tuple[tuple[int, ...], VertexSet], ...]:
-        cuts = np.flatnonzero(self.labels == np.arange(len(self)))[1:]
-        order = np.argsort(self.labels, kind="stable")
-        labels, vertices = self.supports
-        indices = np.split(order, np.searchsorted(self.labels[order], cuts))
-        groups = np.split(vertices, np.searchsorted(labels, cuts))
-        return tuple(
-            (tuple(i.tolist()), frozenset(v.tolist())) for i, v in zip(indices, groups) if len(i)
-        )
-
 
 def build_square_graph(g: Graph, *, cap: int = DEFAULT_SQUARE_CAP) -> SquareGraph:
     """Collect all induced 4-cycles of ``g`` with their diagonals.
@@ -133,13 +122,14 @@ def isolated_count(sq: SquareGraph) -> int:
     return int(np.count_nonzero((sq.bucket_sizes[sq.square_diagonals] == 1).all(axis=1)))
 
 
-def components(sq: SquareGraph) -> tuple[tuple[tuple[int, ...], VertexSet], ...]:
-    """Connected components under shared-diagonal adjacency.
+def components(sq: SquareGraph) -> np.ndarray:
+    """Each shared-diagonal component's least square id, in increasing order.
 
-    ``(square_indices, support)`` pairs, the support being the union of the
-    squares' vertices, ordered by least square index; built once, memoized.
+    That square is the only one its component labels with itself; the
+    component's squares are those of ``sq.labels`` equal to it, and its
+    support, the union of their vertices, is its rows of ``sq.supports``.
     """
-    return sq._components
+    return np.flatnonzero(sq.labels == np.arange(len(sq)))
 
 
 def is_cfs(g: Graph, sq: SquareGraph) -> bool:
@@ -157,12 +147,12 @@ def is_cfs(g: Graph, sq: SquareGraph) -> bool:
 
 
 def is_square_graph_connected(sq: SquareGraph) -> bool:
-    """True iff the square graph has exactly one connected component.
+    """True iff :func:`components` finds exactly one component.
 
-    The empty square graph reports ``False``; callers that need to tell
-    "empty" apart from "disconnected" should also test ``len(sq) == 0``.
+    The empty square graph has none, so it reports ``False``; callers that
+    need to tell "empty" apart from "disconnected" also test ``len(sq) == 0``.
     """
-    return len(sq) > 0 and not sq.labels.any()
+    return len(components(sq)) == 1
 
 
 def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:

@@ -123,7 +123,7 @@ def test_morse_square_witness_is_first_oracle_square(seed):
     # literal oracle judges it
     g = sample_gnp(140, 0.1, trial_seed(9001, seed))
     first = next(
-        w for w, _ in enumerate_induced_squares(g) if morse_oracle(g, w.vertices)
+        w for w in enumerate_induced_squares(g) if morse_oracle(g, w.vertices)
     )
     outcome, witness = evaluate_property_with_witness(g, P("morse-square-exists"))
     assert outcome is True and witness == list(first.vertices)

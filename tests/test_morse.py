@@ -85,7 +85,7 @@ def test_is_morse_cycle_rejects_invalid_witness():
 
 def test_shared_diagonal_squares_are_not_morse():
     g = complete_bipartite(2, 3)
-    for witness, _ in enumerate_induced_squares(g):
+    for witness in enumerate_induced_squares(g):
         assert not is_morse_cycle(g, witness)
 
 
@@ -171,6 +171,6 @@ def test_morse_square_equals_isolated_square_vertex(seed):
     for i, (d1, d2) in enumerate(diagonals):
         if len(buckets[d1]) == 1 and len(buckets[d2]) == 1:
             isolated.add(i)
-    for witness, _ in enumerate_induced_squares(g):
+    for witness in enumerate_induced_squares(g):
         assert is_morse_cycle(g, witness) == (index[witness.vertices] in isolated)
     assert isolated_count(sq) == count_morse_cycles(g, 4)

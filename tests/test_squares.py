@@ -42,6 +42,23 @@ def bucket(sq, pair):
     return [i for i, ids in enumerate(sq.square_diagonals.tolist()) if d in ids]
 
 
+def label_partition(sq):
+    """``(squares, support)`` per component, by least square, read from
+    ``sq.labels`` (squares grouped by label, each group's least square its
+    label) and ``sq.supports``; ``components(sq)`` must list those least
+    squares in increasing order."""
+    groups = {}
+    for i, label in enumerate(sq.labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    assert all(members[0] == label for label, members in groups.items())
+    supports = {}
+    for label, v in zip(*(a.tolist() for a in sq.supports)):
+        supports.setdefault(label, set()).add(v)
+    assert sorted(supports) == sorted(groups)
+    assert components(sq).tolist() == sorted(groups)
+    return [(tuple(groups[r]), frozenset(supports[r])) for r in sorted(groups)]
+
+
 def test_c4_square_graph():
     sq = build_square_graph(cycle_graph(4))
     assert len(sq) == 1
@@ -61,7 +78,7 @@ def test_k23_square_graph():
     assert len(sq) == 3
     assert bucket(sq, (0, 1)) == [0, 1, 2]
     assert isolated_count(sq) == 0
-    comps = components(sq)
+    comps = label_partition(sq)
     assert len(comps) == 1
     indices, support = comps[0]
     assert indices == (0, 1, 2)
@@ -80,7 +97,7 @@ def test_wide_diagonal_bucket():
     assert len(sq) == 50 * 49 // 2
     assert len(bucket(sq, (0, 1))) == 1225
     assert isolated_count(sq) == 0
-    comps = components(sq)
+    comps = label_partition(sq)
     assert len(comps) == 1 and comps[0][1] == frozenset(range(52))
     assert is_cfs(g, sq)
     assert is_square_graph_connected(sq)
@@ -89,7 +106,7 @@ def test_wide_diagonal_bucket():
 def test_square_free_host():
     sq = build_square_graph(cycle_graph(5))
     assert len(sq) == 0
-    assert components(sq) == ()
+    assert label_partition(sq) == []
     assert isolated_count(sq) == 0
     assert not is_cfs(cycle_graph(5), sq)
     assert not is_square_graph_connected(sq)
@@ -100,7 +117,7 @@ def test_two_disjoint_squares():
     sq = build_square_graph(g)
     assert len(sq) == 2
     assert isolated_count(sq) == 2
-    comps = components(sq)
+    comps = label_partition(sq)
     assert len(comps) == 2
     assert [len(support) for _, support in comps] == [4, 4]
     assert not is_cfs(g, sq)
@@ -110,9 +127,10 @@ def test_two_disjoint_squares():
 def test_every_square_in_exactly_one_component():
     g = sample_gnp(30, 0.25, 12)
     sq = build_square_graph(g)
-    seen = [i for indices, _ in components(sq) for i in indices]
+    comps = label_partition(sq)
+    seen = [i for indices, _ in comps for i in indices]
     assert sorted(seen) == list(range(len(sq)))
-    for indices, support in components(sq):
+    for indices, support in comps:
         assert support == frozenset(v for i in indices for v in sq.squares[i].tolist())
 
 
@@ -395,9 +413,10 @@ def test_cfs_host_mismatch_rejected():
         is_cfs(cycle_graph(5), sq)
 
 
-def test_components_are_memoized():
+def test_labels_and_supports_are_memoized():
     sq = build_square_graph(sample_gnp(40, 0.2, 2024))
-    assert components(sq) is components(sq)
+    assert sq.labels is sq.labels
+    assert sq.supports is sq.supports
 
 
 def _reference_square_graph(g):
@@ -467,7 +486,7 @@ def test_array_layer_matches_reference(name, g):
     got_sizes = dict(zip(map(tuple, sq.diagonal_index.tolist()), sq.bucket_sizes.tolist()))
     assert got_sizes == sizes
     assert list(got_sizes) == sorted(sizes)
-    assert components(sq) == tuple(comps)
+    assert label_partition(sq) == comps
     assert isolated_count(sq) == isolated
     assert is_cfs(g, sq) == cfs
     assert is_square_graph_connected(sq) == (len(comps) == 1)

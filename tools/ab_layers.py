@@ -26,6 +26,8 @@ Layers:
 - ``square-graph``: ``build_square_graph``;
 - ``components``: ``labels`` and ``supports`` of a fresh ``SquareGraph`` over
   the arrays ``build_square_graph`` gave once per graph, so only they are timed;
+- ``cfs``: ``is_cfs(g, build_square_graph(g))``, a ``cfs`` sweep trial's work
+  after sampling;
 - ``morse``: ``morse_pruned_cycle_search(g, 5, 8)``;
 - ``count5``: ``count_morse_cycles(g, 5)``, the whole pentagon stream;
 - ``sampler``: ``sample_gnp`` itself.
@@ -152,6 +154,7 @@ LAYERS = {
     "isolated-all": lambda pkg, g, host: list(pkg.squares.isolated_squares(g)),
     "square-graph": _square_graph,
     "components": _components,
+    "cfs": lambda pkg, g, host: pkg.is_cfs(g, pkg.build_square_graph(g)),
     "morse": _morse,
     "count5": lambda pkg, g, host: pkg.count_morse_cycles(g, 5),
     "sampler": lambda pkg, g, host: pkg.sample_gnp(host.n, host.p, host.seed).rows,
