@@ -57,7 +57,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, InvalidWitness, SearchBudgetExceeded
-from .gnp import _int_rows
+from .gnp import _int_rows, _mirror
 from .graph import Graph, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -427,22 +427,23 @@ def _failing_pairs(g: Graph) -> list[int]:
     Only the pairs of ``_candidate_blocks`` can fail.  One fails when
     ``_lowest_gaps`` finds a non-adjacent pair among its three lowest common
     neighbors; of the others, only those with a third common neighbor are
-    tested whole, in Python.  The failing pairs are set both ways into
-    packed 64-bit words, which are read out as int rows.
+    tested whole, in Python.  Each failing pair ``(u, w)``, ``u < w``, is set
+    once into row ``u`` of a packed 64-bit bit matrix; ``_mirror`` sets it in
+    row ``w``, and the rows are read out as ints.
     """
     n, rows = g.n, g.rows
     packed = _packed_rows(g)
     words = packed.shape[1] // 8
-    out = np.zeros(n * words, dtype=np.uint64)
+    out = np.zeros((64 * words, words), dtype=np.uint64)
     for us, ws in _candidate_blocks(packed):
         gaps, _, _, third = _lowest_gaps(packed, us, ws)
         fail = gaps > 0
         for i in np.flatnonzero(third & ~fail).tolist():
             fail[i] = not is_clique_mask(g, rows[us[i]] & rows[ws[i]])
         us, ws = us[fail], ws[fail]
-        np.bitwise_or.at(out, us * words + (ws >> 6), 1 << (ws & 63).astype(np.uint64))
-        np.bitwise_or.at(out, ws * words + (us >> 6), 1 << (us & 63).astype(np.uint64))
-    return _int_rows(out, words)
+        np.bitwise_or.at(out, (us, ws >> 6), 1 << (ws & 63).astype(np.uint64))
+    _mirror(out)
+    return _int_rows(out[:n], words)
 
 
 def _morse_cycles(

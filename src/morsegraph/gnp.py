@@ -20,12 +20,13 @@ equal: a pure-Python loop (``_sample_rows_python``), the executable spec,
 which ``sample_gnp`` also uses for small graphs; and a numpy sampler
 (``_sample_rows_numpy``) that steps xoshiro256** in parallel lanes, each
 lane seeded by GF(2) jump-ahead to its offset in the single stream.  Lanes
-lengthen with n so that at most two blocks of lanes cover the stream, and
-each hit's row comes from its pair index in closed form.  A jump is applied
-through a table of 32 byte lookups XORed together, not a matrix product, so
-sampling makes no BLAS call.  The lanes are stepped in place through scratch
-arrays that each block of lanes allocates once, never per draw and never
-shared between calls, so concurrent calls stay independent.
+lengthen with n so that at most two blocks of lanes cover the stream.  The
+hits are packed into one bit string of the stream, whose rows are read out
+as the upper triangle and mirrored by 64 x 64 bit transposes.  A jump is
+applied through a table of 32 byte lookups XORed together, not a matrix
+product, so sampling makes no BLAS call.  The lanes are stepped in place
+through scratch arrays that each block of lanes allocates once, never per
+draw and never shared between calls, so concurrent calls stay independent.
 """
 
 from __future__ import annotations
@@ -262,22 +263,6 @@ def _lane_jump(k: int):
     return table
 
 
-def _pair_rows(k, first):
-    """Row ``u`` of each pair index ``k`` (int64, in [0, n(n - 1)/2)): the ``u``
-    with ``first[u] <= k < first[u + 1]``, ``first`` holding the ``n + 1`` row
-    offsets ``u(b - u)/2``, ``b = 2n - 1``.
-
-    Solving the quadratic gives ``u = floor((b - sqrt(b*b - 8k)) / 2)``, the
-    floor taken by truncation (the root is at most ``b``); one integer
-    comparison each way holds the float estimate to the offsets.
-    """
-    b = 2 * len(first) - 3
-    u = ((b - np.sqrt(b * b - 8 * k)) * 0.5).astype(np.int64)
-    u += first[u + 1] <= k
-    u -= first[u] > k
-    return u
-
-
 def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     """``_sample_rows_python`` with xoshiro256** stepped in parallel lanes.
 
@@ -290,21 +275,25 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
     starts where the previous block's last lane stopped.  A block steps its
     ``(4, lanes)`` state in place, its outputs landing in one scratch array
     of the block's own, in time slices of ``_LANE_CHUNK`` steps: a slice
-    sets one row of a ``(_LANE_CHUNK, lanes)`` hit matrix per step, and its
-    hits are read back as flat indices, so the working memory is bounded at
-    any n.  A hit's row comes from its pair index in closed form
-    (``_pair_rows``), in whatever order the hits arrive.
+    sets one row of a ``(_LANE_CHUNK, lanes)`` hit matrix per step, packs
+    it eight draws to a byte along the steps, and writes each lane's bytes
+    into its run of one bit string of the whole stream.
+
+    Pair ``k`` is bit ``64 + k`` of that string (one zero word pads each
+    end), so row ``u``'s bit ``v > u`` is bit ``63 + first[u] - u + v``,
+    ``first[u] = u(2n - u - 1)/2`` indexing the pair ``(u, u + 1)``.  Rows
+    are read out as whole words, a block of rows per gather, shifted into
+    place and cleared outside columns ``(u, n)``, which also drops the draws
+    past the last pair.  ``_mirror`` then adds the lower triangle.
     """
     pairs = n * (n - 1) // 2
     shift = (-(-pairs // (2 * _LANE_BLOCK * _LANE_CHUNK)) - 1).bit_length()
     length = _LANE_CHUNK << shift
     lanes_total = -(-pairs // length)
     thr = np.uint64(threshold)
-    # stream offset of pair (u, u + 1): row u's pairs are contiguous from there
-    first = np.arange(n + 1, dtype=np.int64)
-    first = first * (2 * n - first - 1) // 2
-    words = (n + 63) // 64
-    out = np.zeros(n * words, dtype=np.uint64)
+    stream = np.zeros(lanes_total * length // 64 + 2, dtype="<u8")
+    lane_bytes = stream[1:-1].view(np.uint8).reshape(lanes_total, length // 8)
+    bit_of = np.arange(8, dtype=np.uint64)[:, None]
     state = np.array([splitmix64_stream(seed, 4)], dtype=np.uint64)
     for lane0 in range(0, lanes_total, _LANE_BLOCK):
         count = min(_LANE_BLOCK, lanes_total - lane0)
@@ -312,24 +301,73 @@ def _sample_rows_numpy(n: int, threshold: int, seed: int) -> list[int]:
             state = np.concatenate([state, _jump(state[: count - len(state)], _lane_jump(shift + level))])
         s = state.T.copy()
         steps = _xoshiro_steps(s)
-        hits = np.empty((_LANE_CHUNK, count), dtype=bool)
-        for step0 in range(0, length, _LANE_CHUNK):
-            for row in hits:
+        # lanes padded to whole words: a word holds eight lanes' flags, one a byte
+        hits = np.zeros((_LANE_CHUNK, -(-count // 8)), dtype=np.uint64)
+        flags = hits.view(bool)[:, :count]
+        for byte0 in range(0, length // 8, _LANE_CHUNK // 8):
+            for row in flags:
                 np.less(next(steps), thr, out=row)
-            j, lane = np.divmod(np.flatnonzero(hits), count)
-            k = (lane0 + lane) * length + (step0 + j)
-            k = k[k < pairs]
-            u = _pair_rows(k, first)
-            v = k - first[u] + u + 1
-            np.bitwise_or.at(out, u * words + (v >> 6), 1 << (v & 63).astype(np.uint64))
-            np.bitwise_or.at(out, v * words + (u >> 6), 1 << (u & 63).astype(np.uint64))
+            packed = np.bitwise_or.reduce(hits.reshape(-1, 8, hits.shape[1]) << bit_of, axis=1)
+            lane_bytes[lane0 : lane0 + count, byte0 : byte0 + len(packed)] = packed.view(np.uint8)[:, :count].T
         state = s[:, -1:].T
-    return _int_rows(out, words)
+    words = (n + 63) // 64
+    up = np.zeros((64 * words, words), dtype="<u8")
+    u = np.arange(n)
+    base = 63 + u * (2 * n - u - 1) // 2 - u
+    windows = np.lib.stride_tricks.sliding_window_view(stream, words + 1)
+    ones = ~np.uint64(0)
+    cols = 64 * np.arange(words) - 1
+    chunk = max(2**15 // words, 1)  # rows per gather: 256 KB of words
+    for r0 in range(0, n, chunk):
+        b = base[r0 : r0 + chunk]
+        got = windows[b >> 6]
+        lo = (b & 63).astype(np.uint64)[:, None]
+        rows = up[r0 : r0 + len(b)]
+        np.right_shift(got[:, :-1], lo, out=rows)
+        rows |= got[:, 1:] << (64 - lo)
+        rows &= ones << np.clip(u[r0 : r0 + chunk, None] - cols, 0, 64).astype(np.uint64)  # columns > u
+    up[:, -1] &= ones >> np.uint64(-n % 64)  # columns < n
+    del lane_bytes, windows, stream  # not held while mirroring
+    _mirror(up)
+    return _int_rows(up[:n], words)
+
+
+_MIRROR_TILES = 512  # 64-word tiles transposed at a time: 256 KB of rows
+
+
+def _transpose_tiles(t):
+    """Transpose ``k`` 64 x 64 bit tiles in place, ``t`` being ``(64, k)``
+    uint64 with row ``r`` of tile ``i`` in ``t[r, i]`` (bit ``c`` of row ``r``
+    goes to bit ``r`` of row ``c``): six rounds of masked swaps, each swapping
+    the off-diagonal ``w x w`` blocks of every ``2w x 2w`` block at once.
+    Tiles run along the last axis, so every pass is a long contiguous run."""
+    for w in (32, 16, 8, 4, 2, 1):
+        pair = t.reshape(32 // w, 2, w, -1)
+        a, b = pair[:, 0], pair[:, 1]
+        x = ((a >> w) ^ b) & (MASK64 // ((1 << w) + 1))  # the low w bits of each 2w
+        b ^= x
+        a ^= x << w
+    return t
+
+
+def _mirror(up):
+    """Make the ``(64 * words, words)`` bit matrix ``up``, set only above its
+    diagonal, symmetric in place: each 64 x 64 tile ``(i, j)`` with
+    ``i <= j`` is transposed and ORed into tile ``(j, i)``, a fixed number of
+    tiles at a time.  Only tiles on or above the diagonal are read and each
+    is read before its mirror is written, so no copy of ``up`` is needed."""
+    words = up.shape[1]
+    tiles = up.reshape(words, 64, words)
+    ii, jj = np.triu_indices(words)
+    for k in range(0, len(ii), _MIRROR_TILES):
+        i, j = ii[k : k + _MIRROR_TILES], jj[k : k + _MIRROR_TILES]
+        tiles[j, :, i] |= _transpose_tiles(tiles[i, :, j].T.copy()).T
 
 
 def _int_rows(out: np.ndarray, words: int) -> list[int]:
-    """The flat uint64 array ``out`` as int rows of ``words`` words each:
-    bit ``v & 63`` of word ``u * words + (v >> 6)`` is bit ``v`` of row ``u``."""
+    """The C-contiguous uint64 array ``out`` as int rows of ``words`` words
+    each: bit ``v & 63`` of flat word ``u * words + (v >> 6)`` is bit ``v`` of
+    row ``u``."""
     buf = memoryview(out.astype("<u8", copy=False)).cast("B")  # no copy of the rows
     stride = words * 8
     return [int.from_bytes(buf[i : i + stride], "little") for i in range(0, len(buf), stride)]

@@ -25,10 +25,11 @@ from morsegraph.gnp import (
     _NUMPY_MIN_PAIRS,
     _jump,
     _lane_jump,
-    _pair_rows,
+    _mirror,
     _sample_rows_numpy,
     _sample_rows_python,
     _threshold_u64,
+    _transpose_tiles,
     splitmix64_stream,
 )
 
@@ -194,19 +195,53 @@ def test_kernel_and_python_paths_agree():
         assert _sample_rows_numpy(n, threshold, seed) == _sample_rows_python(n, threshold, seed)
 
 
-@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 1025, 1449, 4096, 2**16])
-def test_pair_rows_closed_form(n):
-    # the closed-form row of a pair index is the row searchsorted finds: at
-    # each row's first and last pair, one either side of both, and inside
-    pairs = n * (n - 1) // 2
-    first = np.arange(n + 1, dtype=np.int64)
-    first = first * (2 * n - first - 1) // 2
-    last = first[1:] - 1
-    edges = np.concatenate([first[:-1] + d for d in (-1, 0, 1)] + [last + d for d in (-1, 0, 1)])
-    inner = np.random.default_rng(n).integers(0, pairs, size=4096)
-    k = np.concatenate([edges, inner])
-    k = k[(k >= 0) & (k < pairs)]
-    assert np.array_equal(_pair_rows(k, first), np.searchsorted(first, k, side="right") - 1)
+@pytest.mark.parametrize("rem", [1, _LANE_CHUNK // 2, _LANE_CHUNK - 1])
+def test_numpy_sampler_drops_draws_past_the_last_pair(rem):
+    # the last lane lacks _LANE_CHUNK - rem pairs, so at p = 0.99 nearly
+    # all of its draws past the last pair are hits, none of them an edge
+    n = _first_n(lambda pairs: pairs > _LANE_CHUNK and pairs % _LANE_CHUNK == rem)
+    threshold = _threshold_u64(0.99)
+    assert _sample_rows_numpy(n, threshold, rem) == _sample_rows_python(n, threshold, rem)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 129])
+def test_numpy_sampler_dense_rows_across_words(n):
+    # rows start and end inside and on 64-bit word boundaries; at p = 0.99
+    # a bit read from the wrong place is almost surely set
+    threshold = _threshold_u64(0.99)
+    assert _sample_rows_numpy(n, threshold, n) == _sample_rows_python(n, threshold, n)
+
+
+def _unpacked(bits, width):
+    """Rows of uint64 words as a bool matrix: bit ``c & 63`` of word ``c >> 6`` is column ``c``."""
+    return np.unpackbits(bits.view(np.uint8), axis=-1, bitorder="little")[..., :width].astype(bool)
+
+
+def _repacked(dense):
+    return np.packbits(dense, axis=-1, bitorder="little").view(np.uint64)
+
+
+@pytest.mark.parametrize("count", [1, 7, 600])
+def test_transpose_tiles_matches_unpacked_reference(count):
+    tiles = np.random.default_rng(count).integers(0, 2**64, size=(count, 64), dtype=np.uint64)
+    want = _repacked(_unpacked(tiles[:, :, None], 64).transpose(0, 2, 1).copy())[:, :, 0]
+    got = _transpose_tiles(tiles.T.copy())
+    assert np.array_equal(got.T, want)
+    assert np.array_equal(_transpose_tiles(got).T, tiles)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 2000])
+def test_mirror_matches_unpacked_reference(n):
+    # n = 2000 has 32 words a row: 528 tiles on or above the diagonal, more
+    # than one batch of the mirror
+    words = (n + 63) // 64
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    dense = np.zeros((64 * words, 64 * words), dtype=bool)
+    dense[:n, :n] = upper
+    bits = _repacked(dense)
+    _mirror(bits)
+    assert np.array_equal(_unpacked(bits, 64 * words), dense | dense.T)
 
 
 def _rows_digest(g):
@@ -263,11 +298,13 @@ def test_concurrent_sampling_matches_sequential():
 
 
 def test_sampler_memory():
-    # a call holds the packed words and the Python rows, n * n / 8 bytes
-    # each, and one block of lanes: the hit flags and indices of one time
-    # slice of 128 draws a lane and the jump-ahead temporaries that seed the
-    # block, under 4 MiB for 4096 lanes (of 1024 draws each at n = 4096); a
-    # block of 16384 lanes peaks at 20 MiB in this test (numpy 2.4)
+    # a call holds the packed rows and the Python rows, n * n / 8 bytes
+    # each; the stream bit string, n * n / 16 bytes, freed before the rows
+    # are mirrored; and one block of lanes: the hit flags and packed bytes
+    # of one time slice of 128 draws a lane and the jump-ahead temporaries
+    # that seed the block, under 4 MiB for 4096 lanes (of 1024 draws each at
+    # n = 4096).  Rows are read out and mirrored in pieces of 256 KB.  The
+    # peak here is 5.6 MiB; a block of 16384 lanes peaks at 20 MiB (numpy 2.4)
     n = 4096
     p = density_from_coefficient(0.9, n).p
     sample_gnp(n, p, trial_seed(11, 0))  # builds the cached jump tables

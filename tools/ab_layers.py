@@ -30,6 +30,8 @@ Layers:
   after sampling;
 - ``morse``: ``morse_pruned_cycle_search(g, 5, 8)``;
 - ``count5``: ``count_morse_cycles(g, 5)``, the whole pentagon stream;
+- ``table``: ``cycles._failing_pairs(g)``, the Morse pair test's table of
+  failing pairs, built whole;
 - ``sampler``: ``sample_gnp`` itself.
 
 Example, a full filter pass at CFS density against the parent commit::
@@ -157,6 +159,7 @@ LAYERS = {
     "cfs": lambda pkg, g, host: pkg.is_cfs(g, pkg.build_square_graph(g)),
     "morse": _morse,
     "count5": lambda pkg, g, host: pkg.count_morse_cycles(g, 5),
+    "table": lambda pkg, g, host: pkg.cycles._failing_pairs(g),
     "sampler": lambda pkg, g, host: pkg.sample_gnp(host.n, host.p, host.seed).rows,
 }
 
