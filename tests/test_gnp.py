@@ -304,7 +304,7 @@ def test_sampler_memory():
     # of one time slice of 128 draws a lane and the jump-ahead temporaries
     # that seed the block, under 4 MiB for 4096 lanes (of 1024 draws each at
     # n = 4096).  Rows are read out and mirrored in pieces of 256 KB.  The
-    # peak here is 5.6 MiB; a block of 16384 lanes peaks at 20 MiB (numpy 2.4)
+    # peak here is 5.3 MiB; a block of 16384 lanes peaks at 16 MiB (numpy 2.4)
     n = 4096
     p = density_from_coefficient(0.9, n).p
     sample_gnp(n, p, trial_seed(11, 0))  # builds the cached jump tables
