@@ -12,8 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import InvalidParameter, OutOfDomain
-from .gnp import _integer, _real
+from .errors import InvalidParameter, OutOfDomain, _integer, _real
 
 PENTAGON_COEFFICIENT = math.sqrt(0.5)
 SQUARE_COEFFICIENT = 1.0
@@ -37,18 +36,14 @@ class ThresholdSet:
     cfs: float
 
 
-def _vertex_count(n) -> int:
-    """``n`` as an int that a float can hold."""
-    if (n := _integer("vertex count", n)) > sys.float_info.max:
-        raise InvalidParameter(f"vertex count must be at most {sys.float_info.max:g}")
-    return n
+def _vertex_count(n, low: int) -> int:
+    """``n`` as an int of at least ``low`` that a float can hold."""
+    return _integer("vertex count", n, low, sys.float_info.max)
 
 
 def thresholds(n: int) -> ThresholdSet:
     """Evaluate the three threshold densities at ``n`` (natural logarithm)."""
-    n = _vertex_count(n)
-    if n < 3:
-        raise InvalidParameter(f"thresholds need n >= 3, got {n}")
+    n = _vertex_count(n, 3)
     base = math.sqrt(math.log(n) / n)
     return ThresholdSet(
         n=n,
@@ -76,14 +71,12 @@ def conditional_link_probability(p: float, which: int) -> float:
     """
     if (p := _real("edge probability", p, 1.0)) == 1.0:
         raise InvalidParameter(f"need 0 <= p < 1, got {p}")
-    which = _integer("which", which)
+    which = _integer("which", which, 1, 3)
     if which == 1:
         return p * (1.0 - p) / (1.0 + p - p * p)
     if which == 2:
         return p * p / (1.0 + p)
-    if which == 3:
-        return p * p / ((1.0 + p) * (1.0 + p))
-    raise InvalidParameter(f"which must be 1, 2 or 3, got {which}")
+    return p * p / ((1.0 + p) * (1.0 + p))
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -103,9 +96,7 @@ def _first_moment(n: int, p: float, k: int, orders: float, pairs: int) -> float:
     neighbor of one of those pairs.  Requires pairs * p^2 < 1, and a value
     within the float range.
     """
-    n = _vertex_count(n)
-    if n < k:
-        raise InvalidParameter(f"need n >= {k}, got {n}")
+    n = _vertex_count(n, k)
     p = _real("edge probability", p, 1.0)
     if pairs * p * p >= 1.0:
         raise OutOfDomain(f"formula needs {pairs}*p^2 < 1, got p={p}")
@@ -160,11 +151,8 @@ def clique_link_probability(n: int, k: int, p: float) -> float:
 
         sum_{l=0}^{4} C(n-k, l) p^(2l) (1-p^2)^(n-k-l) p^(C(l+1,2))
     """
-    n, k = _vertex_count(n), _integer("cycle length", k)
-    if k < 5:
-        raise InvalidParameter(f"need k >= 5, got {k}")
-    if k > n:
-        raise InvalidParameter(f"need k <= n, got k={k}, n={n}")
+    k = _integer("cycle length", k, 5)
+    n = _vertex_count(n, k)
     if (p := _real("edge probability", p, 1.0)) == 1.0:
         raise InvalidParameter(f"need 0 <= p < 1, got {p}")
     if p == 0.0:
@@ -190,11 +178,8 @@ def long_cycle_bound(n: int, p: float, k: int) -> float:
     A Markov bound: values above 1 carry no information and are reported
     as-is, up to the float range.
     """
-    n, k = _vertex_count(n), _integer("cycle length", k)
-    if k < 3:
-        raise InvalidParameter(f"need k >= 3, got {k}")
-    if k > n:
-        raise InvalidParameter(f"need k <= n, got k={k}, n={n}")
+    k = _integer("cycle length", k, 3)
+    n = _vertex_count(n, k)
     if (p := _real("edge probability", p, 1.0)) == 0.0:
         return 0.0
     chords = math.comb(k, 2) - k

@@ -56,7 +56,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidWitness, SearchBudgetExceeded
+from .errors import InvalidWitness, SearchBudgetExceeded, _integer
 from .gnp import _int_rows, _mirror
 from .graph import Graph, is_clique_mask, iter_bits
 
@@ -146,9 +146,7 @@ def enumerate_induced_cycles(g: Graph, k: int) -> Iterator[CycleWitness]:
     Emission order is deterministic: lexicographic on the canonical vertex
     tuples.  The generator is lazy; consumers may stop early.
     """
-    if k < 3:
-        raise InvalidParameter(f"cycle length must be >= 3, got k={k}")
-    return _induced_cycle_dfs(g, k)
+    return _induced_cycle_dfs(g, _integer("cycle length", k, 3))
 
 
 def _induced_cycle_dfs(g: Graph, k: int) -> Iterator[CycleWitness]:
@@ -471,12 +469,12 @@ def _morse_cycles(
     """
     from .squares import isolated_squares
 
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else _integer("budget", budget, 0)
     if kmin == 4:
         yield from isolated_squares(g)
         kmin = 5
     if kmin > kmax:
         return
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     spent = 0
 
     def spend(amount: int) -> None:
@@ -583,10 +581,8 @@ def morse_pruned_cycle_search(
     """
     from .morse import is_morse_cycle
 
-    if kmin < 4:
-        raise InvalidParameter(f"kmin must be >= 4, got {kmin}")
-    if kmin > kmax:
-        raise InvalidParameter(f"need kmin <= kmax, got [{kmin}, {kmax}]")
+    kmin = _integer("kmin", kmin, 4)
+    kmax = _integer("kmax", kmax, kmin)
     witness = next(map(CycleWitness, _morse_cycles(g, kmin, kmax, budget)), None)
     if witness is not None:
         assert is_morse_cycle(g, witness)

@@ -32,8 +32,8 @@ from .errors import (
     TooLarge,
     TrialErrorRateExceeded,
 )
+from .errors import _integer, _real, _seed
 from .gnp import DensityPoint, density_from_coefficient, density_from_probability, sample_gnp, trial_seed
-from .gnp import _integer, _real
 from .graph import Graph, iter_bits
 from .morse import count_morse_cycles, is_morse_subgraph, morse_oracle
 from .squares import build_square_graph, is_cfs, is_square_graph_connected, isolated_count
@@ -240,34 +240,27 @@ class SweepConfig:
         for key in doc:
             if key not in known:
                 raise ConfigError(key, "unknown field")
-        def is_int(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
 
-        def is_real(v) -> bool:
-            # finite as a float: no inf or nan, no int that float() overflows
-            return (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+        def check(key: str, value, parse, *bounds):
+            try:
+                return parse(key, value, *bounds)
+            except InvalidParameter as exc:
+                raise ConfigError(key, str(exc)) from exc
 
-        ns = doc.get("ns")
-        if not isinstance(ns, (list, tuple)) or not ns or not all(
-            is_int(v) and v >= 2 for v in ns
-        ):
-            raise ConfigError("ns", "need a non-empty array of integers >= 2")
-        coefficients = doc.get("coefficients")
-        ps = doc.get("ps")
+        def array(key: str, parse, *bounds) -> tuple:
+            values = doc.get(key)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(key, f"need a non-empty array, got {values!r}")
+            return tuple(check(key, v, parse, *bounds) for v in values)
+
+        ns = array("ns", _integer, 2)
+        coefficients, ps = doc.get("coefficients"), doc.get("ps")
         if (coefficients is None) == (ps is None):
             raise ConfigError("coefficients", "exactly one of 'coefficients' or 'ps' is required")
         if coefficients is not None:
-            if not isinstance(coefficients, (list, tuple)) or not coefficients or not all(
-                is_real(v) and v >= 0 for v in coefficients
-            ):
-                raise ConfigError("coefficients", "need a non-empty array of finite reals >= 0")
-            coefficients = tuple(float(v) for v in coefficients)
+            coefficients = array("coefficients", _real, sys.float_info.max)
         if ps is not None:
-            if not isinstance(ps, (list, tuple)) or not ps or not all(
-                is_real(v) and 0 <= v <= 1 for v in ps
-            ):
-                raise ConfigError("ps", "need a non-empty array of probabilities in [0, 1]")
-            ps = tuple(float(v) for v in ps)
+            ps = array("ps", _real, 1.0)
         raw_props = doc.get("properties")
         if not isinstance(raw_props, (list, tuple)) or not raw_props:
             raise ConfigError("properties", "need a non-empty array of property tags")
@@ -275,27 +268,22 @@ class SweepConfig:
             properties = tuple(PropertyKind.parse(tag) for tag in raw_props)
         except (InvalidParameter, TypeError, AttributeError) as exc:
             raise ConfigError("properties", str(exc)) from exc
-        trials = doc.get("trials")
-        if not is_int(trials) or trials < 1:
-            raise ConfigError("trials", f"need an integer >= 1, got {trials!r}")
-        seed = doc.get("seed")
-        if not is_int(seed) or not 0 <= seed < 2**64:
-            raise ConfigError("seed", f"need an integer in [0, 2**64), got {seed!r}")
-        z = doc.get("z", 1.96)
-        if not is_real(z) or not z > 0:
+        trials = check("trials", doc.get("trials"), _integer, 1)
+        seed = check("seed", doc.get("seed"), _seed)
+        if not (z := check("z", doc.get("z", 1.96), _real, sys.float_info.max)) > 0:
             raise ConfigError("z", f"need a finite real > 0, got {z!r}")
         out = doc.get("out")
         if not isinstance(out, str) or not out:
             raise ConfigError("out", "need a non-empty output path")
         return cls(
-            ns=tuple(ns),
+            ns=ns,
             coefficients=coefficients,
             ps=ps,
             properties=properties,
             trials=trials,
             seed=seed,
             out=out,
-            z=float(z),
+            z=z,
         )
 
     def density_points(self, n: int) -> list[DensityPoint]:
@@ -335,13 +323,9 @@ class SweepSummary:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    successes, trials = _integer("successes", successes), _integer("trials", trials)
-    z = _real("z", z, sys.float_info.max)
-    if trials < 1:
-        raise InvalidParameter(f"need trials >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise InvalidParameter(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not z > 0:
+    trials = _integer("trials", trials, 1)
+    successes = _integer("successes", successes, 0, trials)
+    if not (z := _real("z", z, sys.float_info.max)) > 0:
         raise InvalidParameter(f"need z > 0, got {z}")
     phat = successes / trials
     z2 = z * z
@@ -389,8 +373,7 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
             workers = len(os.sched_getaffinity(0))
         else:
             workers = os.cpu_count() or 1
-    if workers < 1:
-        raise InvalidParameter(f"need workers >= 1, got {workers}")
+    workers = _integer("workers", workers, 1)
     cells: list[tuple[int, float | None, float, PropertyKind]] = []
     for n in config.ns:
         for point in config.density_points(n):
@@ -526,10 +509,8 @@ def exhaustive_small_n_expectation(n: int, p: float, prop: PropertyKind) -> floa
     (identical sum, grouped by cycle placement); the others are evaluated
     one graph at a time.
     """
-    if (n := _integer("n", n)) > _EXHAUSTIVE_MAX_N:
+    if (n := _integer("n", n, 1)) > _EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive enumeration is capped at n={_EXHAUSTIVE_MAX_N}, got {n}")
-    if n < 1:
-        raise InvalidParameter(f"need n >= 1, got {n}")
     p = _real("edge probability", p, 1.0)
     if prop.lengths is not None:
         return _exhaustive_candidates(n, p, prop)
@@ -595,12 +576,8 @@ def run_oracle_suite(
     exact small-n expectation identities.  Graphs have n = 5..``max_n``,
     with ``5 <= max_n <= 12``.  Returns a JSON-ready report.
     """
-    max_n = _integer("max_n", max_n)
-    subsets_per_graph = _integer("subsets_per_graph", subsets_per_graph)
-    if not 5 <= max_n <= 12:
-        raise InvalidParameter(f"need 5 <= max_n <= 12, got {max_n}")
-    if subsets_per_graph < 0:
-        raise InvalidParameter(f"need subsets_per_graph >= 0, got {subsets_per_graph}")
+    max_n = _integer("max_n", max_n, 5, 12)
+    subsets_per_graph = _integer("subsets_per_graph", subsets_per_graph, 0)
     report: dict[str, Any] = {
         "graphs": 0,
         "cycles_checked": 0,

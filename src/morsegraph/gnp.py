@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import _integer, _real, _seed
 from .graph import Graph
 
 MASK64 = (1 << 64) - 1
@@ -89,40 +87,10 @@ class Xoshiro256StarStar:
         return result
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int (numpy integers included); bools and floats are rejected."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-
-
-def _real(name: str, value, high: float) -> float:
-    """``value`` as a float in [0, high] (numpy reals included, bools rejected)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if 0.0 <= (x := float(value)) <= high:
-                return x
-        except OverflowError:  # an int past the float range
-            pass
-    raise InvalidParameter(f"{name} must be a real number in [0, {high:g}], got {value!r}")
-
-
-def _seed(name: str, value) -> int:
-    """``value`` as a seed in [0, 2**64); one outside is not wrapped onto another seed."""
-    if 0 <= (seed := _integer(name, value)) < 2**64:
-        return seed
-    raise InvalidParameter(f"{name} must be in [0, 2**64), got {seed}")
-
-
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Sampler seed for one trial of a sweep keyed by a master seed."""
     master_seed = _seed("master seed", master_seed)
-    trial_index = _integer("trial_index", trial_index)
-    if trial_index < 0:
-        raise InvalidParameter(f"trial_index must be >= 0, got {trial_index}")
+    trial_index = _integer("trial_index", trial_index, 0)
     return (master_seed ^ ((trial_index + 1) * GOLDEN)) & MASK64
 
 
@@ -140,9 +108,7 @@ def density_from_coefficient(c: float, n: int) -> DensityPoint:
 
     Degenerate small-``n`` grid points clamp to 1 rather than failing.
     """
-    n = _integer("vertex count", n)
-    if n < 2:
-        raise InvalidParameter(f"need n >= 2 for a density schedule, got n={n}")
+    n = _integer("vertex count", n, 2)
     c = _real("coefficient", c, sys.float_info.max)
     p = min(1.0, c * math.sqrt(math.log(n) / n))
     return DensityPoint(n=n, c=c, p=p)
@@ -150,9 +116,7 @@ def density_from_coefficient(c: float, n: int) -> DensityPoint:
 
 def density_from_probability(p: float, n: int) -> DensityPoint:
     """Wrap an explicit edge probability as a density point (no coefficient)."""
-    n = _integer("vertex count", n)
-    if n < 0:
-        raise InvalidParameter(f"vertex count must be >= 0, got {n}")
+    n = _integer("vertex count", n, 0)
     return DensityPoint(n=n, c=None, p=_real("edge probability", p, 1.0))
 
 
@@ -379,10 +343,8 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     Identical inputs produce bit-identical graphs regardless of sampling
     path, process, or call history.
     """
-    n = _integer("vertex count", n)
+    n = _integer("vertex count", n, 0)
     seed = _seed("seed", seed)
-    if n < 0:
-        raise InvalidParameter(f"vertex count must be >= 0, got {n}")
     p = _real("edge probability", p, 1.0)
     if n <= 1 or p == 0.0:
         return Graph(n, (0,) * n, 0)

@@ -12,7 +12,14 @@ from __future__ import annotations
 import os
 from typing import IO, Iterable, Iterator, Union
 
-from .errors import EdgeListFormatError, InvalidEdge, VertexOutOfRange
+from .errors import EdgeListFormatError, InvalidEdge, VertexOutOfRange, _integer
+
+
+def _vertex(v, n: int) -> int:
+    """``v`` as a Python int in ``0..n-1``, through ``_integer`` unless a plain int (the Morse check's hot path)."""
+    if not 0 <= (v := v if type(v) is int else _integer("vertex", v)) < n:
+        raise VertexOutOfRange(f"vertex {v} not in 0..{n - 1}")
+    return v
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -44,15 +51,12 @@ class Graph:
         self.rows = rows
         self.m = m
 
-    def check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
+    def check_vertex(self, v: int) -> int:
+        return _vertex(v, self.n)
 
     def adjacent(self, u: int, v: int) -> bool:
         """True iff ``{u, v}`` is an edge."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return bool((self.rows[u] >> v) & 1)
+        return bool((self.rows[_vertex(u, self.n)] >> _vertex(v, self.n)) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as pairs ``(u, v)`` with ``u < v``, lexicographically."""
@@ -79,16 +83,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Duplicate pairs collapse to a single edge.  Raises ``InvalidEdge`` for
     self-loops and ``VertexOutOfRange`` for endpoints outside ``0..n-1``.
     """
-    if n < 0:
+    if (n := _integer("vertex count", n)) < 0:
         raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
     rows = [0] * n
     for u, v in edges:
         if u == v:
             raise InvalidEdge(f"self-loop at vertex {u}")
-        if not 0 <= u < n:
-            raise VertexOutOfRange(f"vertex {u} not in 0..{n - 1}")
-        if not 0 <= v < n:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{n - 1}")
+        u, v = _vertex(u, n), _vertex(v, n)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     m = sum(row.bit_count() for row in rows) // 2
@@ -99,8 +100,7 @@ def vertex_mask(g: Graph, s: Iterable[int]) -> int:
     """Bitset of a vertex collection, validating membership in ``0..n-1``."""
     mask = 0
     for v in s:
-        g.check_vertex(v)
-        mask |= 1 << v
+        mask |= 1 << _vertex(v, g.n)
     return mask
 
 

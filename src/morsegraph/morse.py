@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cycles import CycleWitness, _morse_cycles, as_witness
-from .errors import InvalidParameter
+from .errors import _integer
 from .graph import Graph, iter_bits, vertex_mask
 
 
@@ -75,9 +75,7 @@ def morse_oracle(g: Graph, s: Iterable[int]) -> bool:
     with the diagonal scans of :mod:`morsegraph.cycles`; exists to
     cross-validate them.
     """
-    sset = frozenset(s)
-    for x in sset:
-        g.check_vertex(x)
+    sset = frozenset(map(g.check_vertex, s))
     n = g.n
     nbrs = [{w for w in range(n) if (row >> w) & 1} for row in g.rows]
     for u in range(n):
@@ -101,6 +99,5 @@ def count_morse_cycles(g: Graph, k: int, *, budget: int | None = None) -> int:
     :func:`~morsegraph.cycles._morse_cycles`, the stream behind the Morse
     search, whose ``budget`` meters the DFS for k >= 5.
     """
-    if k < 4:
-        raise InvalidParameter(f"Morse cycles have k >= 4, got k={k}")
+    k = _integer("cycle length", k, 4)
     return sum(1 for _ in _morse_cycles(g, k, k, budget))

@@ -21,7 +21,7 @@ import numpy as np
 from .cycles import (
     _candidate_blocks, _diagonal_bucket, _lowest_gaps, _packed_rows, _ranges, _square_blocks
 )
-from .errors import CapacityExceeded, InvalidParameter
+from .errors import CapacityExceeded, InvalidParameter, _integer
 from .graph import Graph, PathLike
 
 DEFAULT_SQUARE_CAP = 10**7
@@ -104,6 +104,7 @@ def build_square_graph(g: Graph, *, cap: int = DEFAULT_SQUARE_CAP) -> SquareGrap
     every piece of candidate diagonals, so at most one piece's squares are
     built past the cap.
     """
+    cap = _integer("cap", cap, 0)
     blocks, count = [np.empty((0, 4), dtype=np.intp)], 0
     for block in _square_blocks(g):
         count += len(block)

@@ -49,3 +49,17 @@ def test_foreign_imports_are_caught():
         "        from scipy.sparse import csr_matrix\n"
     )
     assert _foreign_imports(ast.parse(source)) == ["numba", "scipy.sparse"]
+
+
+def test_argument_checks_have_one_owner():
+    """``_integer`` and ``_real`` are defined in ``errors.py`` alone, and the
+    closed forms of ``analytic.py`` take nothing from the sampler."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if path.name != "errors.py":
+            assert not defined & {"_integer", "_real"}, path.name
+        if path.name == "analytic.py":
+            relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+            modules = {node.module or alias.name for node in relative for alias in node.names}
+            assert "gnp" not in modules

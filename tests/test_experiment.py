@@ -349,6 +349,19 @@ def test_sweep_config_validation(tmp_path):
     with_ps = {k: v for k, v in dict(good, ps=[0.1]).items() if k != "coefficients"}
     SweepConfig.from_mapping(with_ps)
 
+    for field, value, stored in [
+        ("ns", [np.int64(12)], (12,)),
+        ("trials", np.int64(2), 2),
+        ("seed", np.uint64(1), 1),
+        ("seed", np.uint64(2**64 - 1), 2**64 - 1),
+        ("coefficients", [np.float32(0.5), 1], (0.5, 1.0)),
+        ("ps", [np.float32(0.25)], (0.25,)),
+        ("z", np.float32(2.0), 2.0),
+    ]:
+        base = with_ps if field == "ps" else good
+        got = getattr(SweepConfig.from_mapping(dict(base, **{field: value})), field)
+        assert repr(got) == repr(stored)  # Python ints and floats, not numpy scalars
+
     for field, value in [
         ("trials", 0),
         ("trials", "ten"),
@@ -370,6 +383,14 @@ def test_sweep_config_validation(tmp_path):
         ("z", True),
         ("z", float("inf")),
         ("z", 10**400),
+        ("ns", [np.True_]),
+        ("trials", np.True_),
+        ("seed", np.False_),
+        ("coefficients", [np.True_]),
+        ("ps", [np.False_]),
+        ("z", np.True_),
+        ("ns", [np.float64(12)]),
+        ("seed", np.int64(-1)),
     ]:
         base = with_ps if field == "ps" else good
         with pytest.raises(ConfigError) as err:
@@ -389,7 +410,12 @@ def test_sweep_config_validation(tmp_path):
 
 def test_sweep_output_and_determinism(tmp_path):
     cfg_a = SweepConfig.from_mapping(dict(BASE_CONFIG, out=str(tmp_path / "a.jsonl")))
-    cfg_b = SweepConfig.from_mapping(dict(BASE_CONFIG, out=str(tmp_path / "b.jsonl")))
+    # BASE_CONFIG's numbers as numpy scalars write the same trials
+    numpy_config = dict(
+        BASE_CONFIG, ns=[np.int64(12), np.int32(16)], coefficients=[np.float64(0.6)],
+        trials=np.int64(6), seed=np.uint64(4242),
+    )
+    cfg_b = SweepConfig.from_mapping(dict(numpy_config, out=str(tmp_path / "b.jsonl")))
     summary_a = run_sweep(cfg_a, workers=1)
     summary_b = run_sweep(cfg_b, workers=3)
 
@@ -528,7 +554,7 @@ def test_oracle_suite_rejects_out_of_range(max_n, subsets):
         run_oracle_suite(max_n=max_n, subsets_per_graph=subsets)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
 def test_sweep_rejects_nonpositive_workers(tmp_path, workers):
     cfg = SweepConfig.from_mapping(dict(BASE_CONFIG, out=str(tmp_path / "w.jsonl")))
     with pytest.raises(InvalidParameter, match="workers"):

@@ -12,8 +12,15 @@ import pytest
 from morsegraph import (
     InvalidParameter,
     Xoshiro256StarStar,
+    build_graph,
+    build_square_graph,
+    count_morse_cycles,
     density_from_coefficient,
     density_from_probability,
+    enumerate_induced_cycles,
+    is_morse_subgraph,
+    morse_oracle,
+    morse_pruned_cycle_search,
     sample_gnp,
     trial_seed,
 )
@@ -32,6 +39,8 @@ from morsegraph.gnp import (
     _transpose_tiles,
     splitmix64_stream,
 )
+from morsegraph.graph import vertex_mask
+from helpers import cycle_graph
 
 
 def test_density_zero_coefficient():
@@ -87,6 +96,8 @@ def test_trial_seed_formula():
         trial_seed(0, -1)
 
 
+C4, C5, C100 = cycle_graph(4), cycle_graph(5), cycle_graph(100)
+SQUARE_AT_70 = build_graph(100, [(70, 71), (71, 72), (72, 73), (70, 73)])
 NUMPY_INTEGER_CALLS = [  # numpy numbers stand for the Python numbers they hold
     (sample_gnp, (300, 0.3, np.int64(5)), (300, 0.3, 5)),
     (sample_gnp, (300, 0.3, np.uint64(5)), (300, 0.3, 5)),
@@ -98,7 +109,22 @@ NUMPY_INTEGER_CALLS = [  # numpy numbers stand for the Python numbers they hold
     (density_from_coefficient, (np.float32(0.5), np.int64(100)), (0.5, 100)),
     (density_from_probability, (np.float64(0.25), np.int32(10)), (0.25, 10)),
     (density_from_probability, (1, 10), (1.0, 10)),
+    # vertex ids past 63 are not shifted as int64
+    (vertex_mask, (C100, [np.int64(70)]), (C100, [70])),
+    (build_graph, (100, [(np.int64(0), np.int64(70))]), (100, [(0, 70)])),
+    (is_morse_subgraph, (SQUARE_AT_70, [np.int64(70), np.int64(72)]), (SQUARE_AT_70, [70, 72])),
+    (C100.adjacent, (np.int64(0), np.int64(99)), (0, 99)),
 ]
+
+
+def _budgeted_search(g, budget):
+    return morse_pruned_cycle_search(g, 4, 8, budget=budget)
+
+
+def _capped_square_graph(g, cap):
+    return build_square_graph(g, cap=cap)
+
+
 REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p and c
     (sample_gnp, (10, 0.5, 1.5)),
     (sample_gnp, (10.0, 0.5, 1)),
@@ -132,6 +158,31 @@ REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p a
     (density_from_coefficient, (math.inf, 100)),
     (density_from_coefficient, (math.nan, 100)),
     (density_from_coefficient, ("0.5", 100)),
+    # the same check on cycle lengths, budgets, caps and vertex ids
+    (enumerate_induced_cycles, (C5, 4.0)),
+    (enumerate_induced_cycles, (C5, "4")),
+    (count_morse_cycles, (C5, 5.0)),
+    (count_morse_cycles, (C5, "5")),
+    (morse_pruned_cycle_search, (C5, 5.0, 8)),
+    (morse_pruned_cycle_search, (C5, 5, 8.5)),
+    (morse_pruned_cycle_search, (C5, "5", 8)),
+    (morse_pruned_cycle_search, (C5, 5, "8")),
+    (_budgeted_search, (C4, True)),  # checked before the squares are read
+    (_budgeted_search, (C4, 2.5)),
+    (_budgeted_search, (C4, "9")),
+    (_capped_square_graph, (C4, True)),
+    (_capped_square_graph, (C5, 2.5)),
+    (_capped_square_graph, (C5, "9")),
+    (morse_oracle, (C5, [1.5])),
+    (is_morse_subgraph, (C5, [True, 3])),
+    (vertex_mask, (C5, [True, 3])),
+    (vertex_mask, (C5, ["1"])),
+    (C5.adjacent, (1.5, 2)),
+    (C5.check_vertex, (2.5,)),
+    (build_graph, (3, [(True, 2)])),
+    (build_graph, (3, [(0, 1.0)])),
+    (build_graph, (3.0, [])),
+    (build_graph, ("3", [])),
 ]
 
 
