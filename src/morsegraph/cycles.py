@@ -13,8 +13,9 @@ them as index arrays in lexicographic order, in pieces of at most
 ``_PAIR_CHUNK`` pairs, from popcounts of the packed bit rows over the upper
 triangle, one block of rows at a time.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
-array: each candidate reads its neighbors from its piece's rows, keeps
-the common ones, and pairs the non-adjacent ones.  ``_lowest_gaps`` finds,
+array: each candidate reads its common neighbors out of the AND of its two
+packed rows, one round per set bit of the fullest word, in increasing order
+with no sort, and pairs the non-adjacent ones.  ``_lowest_gaps`` finds,
 in numpy, each candidate's three lowest common neighbors and the
 non-adjacent pairs among them.  The isolated-square scan of ``squares``
 drops each candidate with two or more of those pairs, which rules out a
@@ -56,9 +57,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidWitness, SearchBudgetExceeded, _integer
+from .errors import InvalidWitness, SearchBudgetExceeded, VertexOutOfRange, _integer
 from .gnp import _int_rows, _mirror
-from .graph import Graph, is_clique_mask, iter_bits
+from .graph import Graph, _vertex, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -116,12 +117,13 @@ class CycleWitness:
         return len(self.vertices)
 
     def verify(self, g: Graph) -> None:
-        """Raise ``InvalidWitness`` unless this is an induced cycle of ``g``."""
-        v = self.vertices
+        """Raise ``InvalidWitness`` unless this is an induced cycle of ``g``,
+        and ``InvalidParameter`` for a vertex that is not an integer."""
+        try:
+            v = tuple(_vertex(x, g.n) for x in self.vertices)
+        except VertexOutOfRange as exc:
+            raise InvalidWitness(f"{exc} in {self.vertices!r}") from None
         k = len(v)
-        for x in v:
-            if not 0 <= x < g.n:
-                raise InvalidWitness(f"vertex {x} outside host graph of size {g.n}")
         rows = g.rows
         for i in range(k):
             for j in range(i + 1, k):
@@ -311,26 +313,42 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     """Every induced 4-cycle of ``g`` once, as ``(k, 4)`` arrays of rows
     ``(u, x, w, y)``, one array per piece of ``_candidate_blocks``.
 
-    Each piece unpacks its own rows, at most ``_BLOCK_CELLS`` bytes since a
-    piece never spans two row blocks.  Each candidate diagonal ``(u, w)``
-    takes its neighbors above ``u`` from them and keeps those adjacent to
-    ``w``; every non-adjacent pair ``x < y`` of them spans the square
-    u-x-w-y.  Taking only centers above ``u`` emits a square from its smaller
-    diagonal alone, where ``u`` is least and ``x < y``, so each row is already
+    Each candidate diagonal ``(u, w)`` reads its common neighbors out of the
+    AND of its two 64-bit rows, gathered a chunk of ``_BLOCK_CELLS`` bytes at
+    a time.  Every nonzero word of it gets as many slots in its candidate's
+    run as it has set bits; round r writes the r-th lowest bit of each word
+    that still has one at its slot + r, so the ``(candidate, x)`` pairs come
+    out in increasing order with no sort.  The neighbors ``x > u`` are kept,
+    and every non-adjacent pair ``x < y`` of them spans the square u-x-w-y.
+    Taking only centers above ``u`` emits a square from its smaller diagonal
+    alone, where ``u`` is least and ``x < y``, so each row is already
     canonical.  Rows come in lexicographic order of ``(u, w, x, y)``.
     """
     packed = _packed_rows(g)
+    rows = packed.view(np.uint64)
+    width = rows.shape[1]
+    step = max(_BLOCK_CELLS // packed.shape[1], 1)  # candidates of _BLOCK_CELLS bytes
     for us, ws in _candidate_blocks(packed):
-        lo = us[0]
-        bits = np.unpackbits(packed[lo : us[-1] + 1], axis=1, count=g.n, bitorder="little")
-        lows, above = np.nonzero(bits)
-        up = above > lows + lo  # the neighbors above each row's vertex
-        start, end = np.searchsorted(lows[up], np.arange(len(bits) + 1))[[us - lo, us - lo + 1]]
-        deg = end - start
-        owner = np.repeat(np.arange(len(us)), deg)
-        xs = above[up][_ranges(start, deg)]
-        common = _adjacent(packed, np.repeat(ws, deg), xs)
-        owner, xs = owner[common], xs[common]
+        at, words = [], []  # flat (candidate, word) index and value of each nonzero word
+        for i in range(0, len(us), step):
+            both = rows[us[i : i + step]] & rows[ws[i : i + step]]
+            nonzero = np.flatnonzero(both)
+            at.append(nonzero + i * width)
+            words.append(both.ravel()[nonzero])
+        at, words = np.concatenate(at), np.concatenate(words)
+        bits = np.bitwise_count(words)
+        xs = np.empty(int(bits.sum(dtype=np.intp)), dtype=np.intp)
+        slot = np.cumsum(bits, dtype=np.intp) - bits
+        base = 64 * (at % width)
+        while len(words):  # round r: the r-th lowest bit of each word with one
+            low = words & (~words + 1)
+            xs[slot] = base + np.bitwise_count(low - 1)
+            words ^= low
+            left = words != 0
+            words, slot, base = words[left], slot[left] + 1, base[left]
+        owner = np.repeat(at // width, bits)
+        above = xs > us[owner]
+        owner, xs = owner[above], xs[above]
         # each common neighbor pairs with the later ones of its candidate
         group_end = np.cumsum(np.bincount(owner, minlength=len(us)))
         later = group_end[owner] - np.arange(len(xs)) - 1

@@ -191,6 +191,11 @@ def run_trial(
     recorded on the trial with a null outcome, never as ``False``.
     """
     start = time.perf_counter()
+    # the record holds the checked Python numbers, never a numpy scalar
+    n, p = _integer("vertex count", n, 0), _real("edge probability", p, 1.0)
+    master_seed = _seed("master seed", master_seed)
+    trial_index = _integer("trial_index", trial_index, 0)
+    c = None if c is None else _real("coefficient", c, sys.float_info.max)
     g = sample_gnp(n, p, trial_seed(master_seed, trial_index))
     outcome: bool | int | None
     error: str | None

@@ -55,7 +55,7 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
     """First ``count`` outputs of splitmix64 started at ``seed``, in [0, 2**64)."""
     state = _seed("seed", seed)
     out = []
-    for _ in range(count):
+    for _ in range(_integer("count", count, 0)):
         state = (state + GOLDEN) & MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64

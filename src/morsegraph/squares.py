@@ -61,10 +61,12 @@ class SquareGraph:
         size, so it is aligned with the start of ``members[0]``: each
         bucket's later squares are united with its first.
         """
-        order = np.argsort(self.square_diagonals.ravel())  # square slots by bucket
+        order = _argsort(self.square_diagonals.ravel())[0]  # square slots by bucket
         sizes = self.bucket_sizes
-        by_size = np.argsort(-sizes, kind="stable")
-        counts = np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))
+        top = sizes.max(initial=0)
+        by_size, shortfall = _argsort(top - sizes)
+        counts = np.searchsorted(shortfall, top - np.arange(top))
+        del shortfall  # not held through the unions
         slots = (np.cumsum(sizes) - sizes)[by_size][_ranges(np.zeros_like(counts), counts)]
         slots += np.repeat(np.arange(len(counts)), counts)  # head + j
         members = np.split(order[slots] // 2, np.cumsum(counts)[:-1])
@@ -112,10 +114,37 @@ def build_square_graph(g: Graph, *, cap: int = DEFAULT_SQUARE_CAP) -> SquareGrap
             raise CapacityExceeded(f"square count exceeded cap ({cap})")
         blocks.append(block)
     squares = np.concatenate(blocks)
-    # the diagonals (u, w) and (x, y) of each square as keys a * n + b
+    del blocks
+    # the diagonals (u, w) and (x, y) of each square as keys a * n + b, in
+    # order; a diagonal's id is the number of distinct keys before it
     n = max(g.n, 1)
-    keys, ids = np.unique(squares[:, [0, 1]] * n + squares[:, [2, 3]], return_inverse=True)
+    order, keys = _argsort((squares[:, :2] * n + squares[:, 2:]).ravel())
+    first = np.diff(keys, prepend=-1) != 0
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(first) - 1
+    keys = keys[first]
     return SquareGraph(g.n, squares, np.stack([keys // n, keys % n], axis=1), ids.reshape(-1, 2))
+
+
+def _argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, keys[order])`` for non-negative integer ``keys``: a stable
+    argsort and the sorted keys, from one in-place ``np.sort`` of int64 words
+    that hold each key above its index (a plain sort is several times faster
+    than an argsort).  Keys too wide to share 63 bits with the index raise
+    ``CapacityExceeded``; the diagonal keys of ``build_square_graph`` fit
+    for hosts of up to 2**19 vertices at the default cap.
+    """
+    b = (len(keys) - 1).bit_length()
+    if int(keys.max(initial=0)).bit_length() + b > 63:
+        raise CapacityExceeded(f"sort keys up to {keys.max()} do not fit in {63 - b} bits")
+    order = np.arange(len(keys))
+    words = keys.astype(np.int64)
+    words <<= b
+    words |= order
+    words.sort()
+    np.bitwise_and(words, (1 << b) - 1, out=order)
+    words >>= b
+    return order, words
 
 
 def isolated_count(sq: SquareGraph) -> int:
@@ -199,7 +228,7 @@ def square_graph_edges(sq: SquareGraph) -> np.ndarray:
     Each pair of squares in a bucket is an edge; distinct squares share at
     most one diagonal, so no pair occurs twice.
     """
-    members = np.argsort(sq.square_diagonals.ravel()) // 2  # grouped by bucket
+    members = _argsort(sq.square_diagonals.ravel())[0] // 2  # grouped by bucket
     later = np.repeat(np.cumsum(sq.bucket_sizes), sq.bucket_sizes) - np.arange(len(members)) - 1
     second = members[_ranges(np.arange(1, len(members) + 1), later)]
     edges = np.sort(np.stack([np.repeat(members, later), second], axis=1), axis=1)

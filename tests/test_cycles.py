@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,7 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    neighbor_set_squares,
     path_graph,
     pentagon_with_apex,
     petersen,
@@ -211,6 +213,35 @@ def test_square_blocks_memory():
     finally:
         tracemalloc.stop()
     assert peak <= n * n // 4 + 16 * _BLOCK_CELLS + 8 * (g.m + n + 1)
+
+
+def _near_complete(n):
+    """K_n less the edge (0, 1): one candidate diagonal and no square."""
+    return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if (u, v) != (0, 1)])
+
+
+SQUARE_BLOCK_HOSTS = (
+    # one 64-bit word holds several common neighbors of a candidate
+    [("k2_150", complete_bipartite(2, 150)), ("gnp130-0.9", sample_gnp(130, 0.9, 2601))]
+    # common neighbors on both sides of a word boundary, and a last partial word
+    + [(f"gnp{n}", sample_gnp(n, 0.3, trial_seed(2602, n))) for n in (63, 64, 65, 127, 128, 129)]
+    + [(f"empty{n}", build_graph(n, [])) for n in (0, 1, 2)]
+    + [("k6-less-an-edge", _near_complete(6))]
+)
+
+
+@pytest.mark.parametrize("name,g", SQUARE_BLOCK_HOSTS, ids=[name for name, _ in SQUARE_BLOCK_HOSTS])
+def test_square_blocks_match_brute_force(name, g):
+    # every square once, canonical, in lexicographic order of (u, w, x, y),
+    # against the squares listed from Python sets of neighbors
+    blocks = list(_square_blocks(g))
+    assert all(b.dtype == np.intp and b.shape[1:] == (4,) for b in blocks)
+    listed = [tuple(square) for b in blocks for square in b.tolist()]
+    assert listed == sorted(neighbor_set_squares(g), key=lambda s: (s[0], s[2], s[1], s[3]))
+    if name == "k2_150":
+        assert len(listed) == 150 * 149 // 2
+    if name == "k6-less-an-edge":  # its one candidate reads out to an empty piece
+        assert [len(b) for b in blocks] == [0]
 
 
 @pytest.mark.parametrize("seed", range(4))

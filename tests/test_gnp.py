@@ -11,6 +11,7 @@ import pytest
 
 from morsegraph import (
     InvalidParameter,
+    PropertyKind,
     Xoshiro256StarStar,
     build_graph,
     build_square_graph,
@@ -18,12 +19,15 @@ from morsegraph import (
     density_from_coefficient,
     density_from_probability,
     enumerate_induced_cycles,
+    is_morse_cycle,
     is_morse_subgraph,
     morse_oracle,
     morse_pruned_cycle_search,
+    run_trial,
     sample_gnp,
     trial_seed,
 )
+from morsegraph.cycles import as_witness
 from morsegraph.gnp import (
     GOLDEN,
     MASK64,
@@ -98,6 +102,14 @@ def test_trial_seed_formula():
 
 C4, C5, C100 = cycle_graph(4), cycle_graph(5), cycle_graph(100)
 SQUARE_AT_70 = build_graph(100, [(70, 71), (71, 72), (72, 73), (70, 73)])
+
+
+def _trial_line(n, p, master_seed, trial_index, c=None):
+    """A ``cfs`` trial's JSONL line up to ``elapsed_ms``."""
+    record = run_trial(n, p, PropertyKind.parse("cfs"), master_seed, trial_index, c=c)
+    return record.to_json_line().rsplit(',"elapsed_ms":', 1)[0]
+
+
 NUMPY_INTEGER_CALLS = [  # numpy numbers stand for the Python numbers they hold
     (sample_gnp, (300, 0.3, np.int64(5)), (300, 0.3, 5)),
     (sample_gnp, (300, 0.3, np.uint64(5)), (300, 0.3, 5)),
@@ -114,6 +126,11 @@ NUMPY_INTEGER_CALLS = [  # numpy numbers stand for the Python numbers they hold
     (build_graph, (100, [(np.int64(0), np.int64(70))]), (100, [(0, 70)])),
     (is_morse_subgraph, (SQUARE_AT_70, [np.int64(70), np.int64(72)]), (SQUARE_AT_70, [70, 72])),
     (C100.adjacent, (np.int64(0), np.int64(99)), (0, 99)),
+    (is_morse_cycle, (SQUARE_AT_70, list(np.arange(70, 74))), (SQUARE_AT_70, [70, 71, 72, 73])),
+    # a trial record holds Python numbers, so its JSONL line can be written
+    (_trial_line, (np.int64(10), 0.3, 1, 0), (10, 0.3, 1, 0)),
+    (_trial_line, (10, 0.3, np.uint64(MASK64), np.int64(2)), (10, 0.3, MASK64, 2)),
+    (_trial_line, (10, np.float64(0.3), 1, 0, np.float32(0.5)), (10, 0.3, 1, 0, 0.5)),
 ]
 
 
@@ -145,6 +162,8 @@ REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p a
     (Xoshiro256StarStar, (1.0,)),
     (splitmix64_stream, (-1, 4)),
     (splitmix64_stream, (2**64, 4)),
+    (splitmix64_stream, (1, 2.0)),
+    (splitmix64_stream, (1, -3)),
     (density_from_probability, (0.5, 2.5)),
     (density_from_probability, (0.5, True)),
     (density_from_coefficient, (0.5, 2.5)),
@@ -174,6 +193,8 @@ REJECTED_CALLS = [  # non-integer counts and seeds; non-real or out-of-range p a
     (_capped_square_graph, (C5, 2.5)),
     (_capped_square_graph, (C5, "9")),
     (morse_oracle, (C5, [1.5])),
+    (is_morse_cycle, (C5, [0, 1, 2, 3, 4.0])),
+    (as_witness, (C5, [True, 2, 3, 4, 0])),
     (is_morse_subgraph, (C5, [True, 3])),
     (vertex_mask, (C5, [True, 3])),
     (vertex_mask, (C5, ["1"])),

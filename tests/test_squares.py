@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morsegraph import (
@@ -25,7 +26,7 @@ from morsegraph import (
 )
 from morsegraph.cycles import _BLOCK_CELLS, _candidate_blocks, _lowest_gaps, _packed_rows
 import morsegraph.squares as squares_module
-from morsegraph.squares import isolated_squares, square_graph_edges
+from morsegraph.squares import _argsort, isolated_squares, square_graph_edges
 from helpers import (
     brute_induced_squares,
     complete_bipartite,
@@ -490,3 +491,26 @@ def test_array_layer_matches_reference(name, g):
     assert isolated_count(sq) == isolated
     assert is_cfs(g, sq) == cfs
     assert is_square_graph_connected(sq) == (len(comps) == 1)
+
+
+@pytest.mark.parametrize("size, top", [(0, 0), (1, 0), (1, 2**62), (2, 1), (1000, 3),
+                                       (4097, 40), (5000, 2**40)])
+def test_argsort_matches_stable_argsort(size, top):
+    # ties, many of them at small top, come out in index order
+    keys = np.random.default_rng(size + top).integers(0, top, size, endpoint=True)
+    before = keys.copy()
+    order, ordered = _argsort(keys)
+    assert order.dtype == ordered.dtype == np.intp
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(ordered, keys[order])
+    assert np.array_equal(keys, before)
+
+
+def test_argsort_rejects_keys_that_do_not_fit():
+    # three keys take two index bits, leaving 61 for the key
+    order, ordered = _argsort(np.array([2**61 - 1, 5, 0]))
+    assert order.tolist() == [2, 1, 0] and ordered.tolist() == [0, 5, 2**61 - 1]
+    with pytest.raises(CapacityExceeded):
+        _argsort(np.array([2**61, 5, 0]))
+    with pytest.raises(CapacityExceeded):
+        _argsort(np.array([0, 2**62]))
