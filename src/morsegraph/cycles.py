@@ -10,8 +10,9 @@ pair {u, w} is the set of non-adjacent pairs inside N(u) & N(w), and each
 pair {x, y} in it spans the square u-x-w-y.  Only pairs with at least two
 common neighbors can have a non-empty bucket; ``_candidate_blocks`` yields
 them as index arrays in lexicographic order, in pieces of at most
-``_PAIR_CHUNK`` pairs, from popcounts of the packed bit rows over the upper
-triangle, one block of rows at a time.  Two kinds of consumer read them.
+``_PAIR_CHUNK`` pairs, from two bit planes per row: the vertices reached
+through at least one, and through at least two, of its neighbors, walked a
+span of rows at a time.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
 array: each candidate reads its common neighbors out of the AND of its two
 packed rows, one round per set bit of the fullest word, in increasing order
@@ -63,9 +64,12 @@ from .graph import Graph, _vertex, is_clique_mask, iter_bits
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
-# Vertex pairs per row block of the diagonal-candidate filter: a block's
-# 64-bit AND temporary (512 KB) stays within a core's L2 cache.
+# Vertex pairs per read-out block of the diagonal-candidate filter: a block's
+# unpacked bits and counts (64 KB each) stay within a core's L2 cache.
 _BLOCK_CELLS = 2**16
+# 64-bit words per plane of the widest span of rows whose neighbors the
+# candidate filter walks together (128 KB).
+_SPAN_WORDS = 2**14
 # Candidate pairs per piece of ``_candidate_blocks``.
 _PAIR_CHUNK = 2**12
 # ``_make_bad_bits`` builds its table of failing pairs once its lazy clique
@@ -201,29 +205,37 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
     lexicographic order, from the rows ``packed`` by ``_packed_rows``.
 
     These are exactly the pairs that can occur as a diagonal of an induced
-    square.  The pair filter counts common neighbors one block of rows at a
-    time, as popcounts of each block row ANDed word by word with the packed
-    rows from the block's first row on: the upper triangle it keeps, and no
-    more.  It reads the rows' 64-bit words transposed, so that a pass over
-    one word reads one contiguous line.  A block's pairs are held as one array of flat indices, split into
+    square.  Common neighbors are counted, capped at two, over each row's
+    neighbors, not over every pair: ``_common_planes`` walks a span of rows,
+    in O(m * n / 32) word operations where an all-pairs count takes
+    O(n**3 / 128), over the words from the span's first row on, the upper
+    triangle it keeps.  A span starts at one read-out block and doubles up
+    to ``_SPAN_WORDS`` words a plane, so an early exit pays for one small
+    span and a full pass makes few calls.  A read-out block is
+    ``max(_BLOCK_CELLS // n, 1)`` rows, at most ``_BLOCK_CELLS`` pairs for
+    n <= 2**16 (16 rows at n = 4096): its planes are unpacked and summed
+    into counts, and its pairs held as one array of flat indices, split into
     ``(us, ws)`` a piece at a time; its counts and masks are freed first.
-    A block is ``max(_BLOCK_CELLS // n, 1)`` rows, at most ``_BLOCK_CELLS``
-    (2**16) pairs for n <= 2**16.  That bounds its 64-bit AND temporary to
-    512 KB, within a core's L2 cache, and its whole working set to about 13
-    bytes a pair.  Memory is the caller's packed rows, their transposed
-    copy, and that working set.  A consumer that stops early pays only for
-    the blocks it read (at n = 4096, 16 rows each), and one that builds from
-    each piece, as ``build_square_graph`` does, checking its cap after every
-    piece, holds one piece's work at a time.
+    Memory is the caller's packed rows, their copy padded with a zero row,
+    one span's neighbor lists and planes, and one block's working set.  A
+    consumer that builds from each piece, as ``build_square_graph`` does,
+    checking its cap after every piece, holds one piece's work at a time.
     """
     n = len(packed)
-    cols = np.ascontiguousarray(packed.view(np.uint64).T)  # line k: word k of every row
+    padded = np.zeros((n + 1, packed.shape[1] // 8), dtype=np.uint64)  # row n: no neighbor
+    padded[:n] = packed.view(np.uint64)
     step = max(_BLOCK_CELLS // max(n, 1), 1)
+    widest = max(_SPAN_WORDS // padded.shape[1] // step, 1) * step  # rows, whole blocks
+    span = first = end = 0
     for start in range(0, n, step):
-        counts = np.zeros((min(step, n - start), n - start), dtype=np.uint32)
-        for word in cols:
-            counts += np.bitwise_count(word[start : start + step, None] & word[start:])
+        if start == end:  # walk the next span, twice as long as the last
+            span = min(2 * span, widest) or step
+            first, end = start, min(start + span, n)
+            low = first // 64 * 64  # the planes start at first's word
+            once, twice = _common_planes(packed, padded[:, low // 64 :], first, end, step)
+        rows = slice(start - first, start - first + step)
         block = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
+        counts = (_bits(once[rows], n - low) + _bits(twice[rows], n - low))[:, start - low :]
         # keep w > u: column j of block row i is the pair (start + i, start + j)
         cand = np.triu((block[:, start:] == 0) & (counts >= 2.0), 1)
         del counts  # not held beside the pair indices
@@ -234,6 +246,40 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
             us += start
             ws += start
             yield us, ws
+
+
+def _common_planes(
+    packed: np.ndarray, padded: np.ndarray, first: int, end: int, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(once, twice)`` for the rows ``first .. end - 1``: per row ``u``, in
+    the words of ``padded``, the vertices with at least one and at least two
+    common neighbors with ``u``.  Rank r ORs the row of each ``u``'s r-th
+    neighbor into both planes, ``twice`` first; shorter lists are padded
+    with ``n``, the zero row of ``padded``.  The lists are read ``step``
+    rows at a time, unpacking only the nonzero bytes of ``packed``."""
+    n, width = packed.shape
+    degree = np.bitwise_count(packed[first:end]).sum(axis=1, dtype=np.intp)
+    neighbors = np.full((degree.max(initial=0), end - first), n, dtype=np.intp)  # by rank
+    for b in range(first, end, step):
+        cells = packed[b : b + step].ravel()
+        at = np.flatnonzero(cells)
+        bit = np.flatnonzero(np.unpackbits(cells[at], bitorder="little"))
+        at = at[bit >> 3]  # row-major: each row's neighbors in increasing order
+        own = degree[b - first : b - first + step]
+        rank = np.arange(len(at)) - np.repeat(np.cumsum(own) - own, own)
+        neighbors[rank, at // width + (b - first)] = at % width * 8 + (bit & 7)
+    once = np.zeros((end - first, padded.shape[1]), dtype=np.uint64)
+    twice = np.zeros_like(once)
+    for rank in neighbors:
+        near = padded[rank]
+        twice |= once & near
+        once |= near
+    return once, twice
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each row of 64-bit ``words``, one byte each."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def _packed_rows(g: Graph) -> np.ndarray:

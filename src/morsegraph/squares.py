@@ -70,10 +70,13 @@ class SquareGraph:
         slots = (np.cumsum(sizes) - sizes)[by_size][_ranges(np.zeros_like(counts), counts)]
         slots += np.repeat(np.arange(len(counts)), counts)  # head + j
         members = np.split(order[slots] // 2, np.cumsum(counts)[:-1])
+        del order, slots, by_size  # none is held through the unions
         edges = [np.empty((0, 2), dtype=np.intp)]
         for other in members[1:]:
             edges.append(np.stack([members[0][: len(other)], other], axis=1))
+        del members
         a, b = np.concatenate(edges).T
+        del edges
         label = np.arange(len(self))
         while len(a):
             # min-label propagation: hook the larger root of each edge onto

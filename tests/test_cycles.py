@@ -23,10 +23,12 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
+from morsegraph.graph import iter_bits
 import morsegraph.cycles as cycles_module
 from morsegraph.cycles import (
     _BLOCK_CELLS,
     _PAIR_CHUNK,
+    _SPAN_WORDS,
     _TABLE_SHARE,
     _candidate_blocks,
     _diagonal_bucket,
@@ -155,36 +157,99 @@ def test_squares_match_cycle_enumeration(seed):
     assert from_squares == from_cycles == brute_induced_squares(g)
 
 
+def _set_candidates(g):
+    """The candidate diagonals from Python sets of neighbors: non-adjacent
+    pairs u < w with at least two common neighbors, in lexicographic order."""
+    nbrs = [set(iter_bits(row)) for row in g.rows]
+    return [
+        (u, w)
+        for u, w in combinations(range(g.n), 2)
+        if w not in nbrs[u] and len(nbrs[u] & nbrs[w]) >= 2
+    ]
+
+
+def _candidate_pieces(g):
+    pieces = list(_candidate_blocks(_packed_rows(g)))
+    assert all(len(us) == len(ws) <= _PAIR_CHUNK for us, ws in pieces)
+    return pieces
+
+
+def _listed(pieces):
+    return [pair for us, ws in pieces for pair in zip(us.tolist(), ws.tolist())]
+
+
 def test_square_prefilter_paths_agree():
-    # the row-blocked filter against common neighborhoods from Python sets;
-    # n = 0 has no rows and n = 128 fills its two 64-bit words with no
-    # padding; n = 600 spans six row blocks, the last one partial, and its
-    # first block holds more than one piece of pairs
+    # the filter against common neighborhoods from Python sets; n = 0 has no
+    # rows and n = 128 fills its two 64-bit words with no padding; n = 600
+    # spans six read-out blocks, the last one partial, and its first block
+    # holds more than one piece of pairs
     step = _BLOCK_CELLS // 600
     assert 600 > step and 600 % step
     for n, p in [(0, 0.5), (1, 0.5), (2, 1.0), (40, 0.2), (128, 0.15), (150, 0.12), (600, 0.05)]:
         g = sample_gnp(n, p, 8)
-        nbrs = [{v for v in range(n) if g.adjacent(u, v)} for u in range(n)]
-        brute = [
-            (u, w)
-            for u, w in combinations(range(n), 2)
-            if w not in nbrs[u] and len(nbrs[u] & nbrs[w]) >= 2
-        ]
-        packed = _packed_rows(g)
-        pieces = list(_candidate_blocks(packed))
-        assert all(len(us) == len(ws) <= _PAIR_CHUNK for us, ws in pieces)
-        assert [pair for us, ws in pieces for pair in zip(us.tolist(), ws.tolist())] == brute
+        brute = _set_candidates(g)
+        pieces = _candidate_pieces(g)
+        assert _listed(pieces) == brute
         assert brute or n < 3
         if n == 600:
             assert sum(int(us[-1]) < step for us, _ in pieces if len(us)) > 1
 
 
+def _k2_across_words(m):
+    """K_{2,m} with its two hubs at 63 and 64, either side of a word boundary."""
+    others = [v for v in range(m + 2) if v not in (63, 64)]
+    return build_graph(m + 2, [(hub, v) for hub in (63, 64) for v in others])
+
+
+def _isolated_and_pendant():
+    """G(300, 0.04) relabelled among 400 vertices, 50 more of degree 1, and
+    50 isolated ones, spread over the rows."""
+    rng = random.Random(2701)
+    core = sample_gnp(300, 0.04, trial_seed(2701, 0))
+    label = rng.sample(range(400), 400)
+    edges = [(label[u], label[v]) for u in range(300) for v in iter_bits(core.rows[u]) if u < v]
+    edges += [(label[300 + i], label[rng.randrange(300)]) for i in range(50)]
+    return build_graph(400, edges)
+
+
+RANK_WALK_HOSTS = [
+    # one full row in its span, every other row one neighbor: no candidates
+    ("star", build_graph(300, [(0, v) for v in range(1, 300)])),
+    # every pair of the 300 side has exactly the two hubs in common
+    ("k2_300", _k2_across_words(300)),
+    ("isolated-and-pendant", _isolated_and_pendant()),
+    # spans of up to 512 rows over read-out blocks of 32
+    ("sparse2048", sample_gnp(2048, 0.003, 8)),
+]
+
+
+@pytest.mark.parametrize("name,g", RANK_WALK_HOSTS, ids=[name for name, _ in RANK_WALK_HOSTS])
+def test_candidate_rank_walk_matches_python_sets(name, g):
+    # the walk pads short neighbor lists with a zero row; each host has
+    # more than one read-out block, and rows of very different degrees in
+    # one span
+    assert g.n > _BLOCK_CELLS // g.n
+    listed = _listed(_candidate_pieces(g))
+    assert listed == _set_candidates(g)
+    degrees = sorted(row.bit_count() for row in g.rows)
+    if name == "star":
+        assert listed == [] and degrees[-1] == 299
+    if name == "k2_300":
+        assert len(listed) == 300 * 299 // 2 + 1 and (63, 64) in listed
+    if name == "isolated-and-pendant":
+        assert degrees[0] == 0 and 1 in degrees
+    if name == "sparse2048":
+        assert len(listed) > 100
+        assert _SPAN_WORDS // (2048 // 64) > _BLOCK_CELLS // 2048  # spans over blocks
+
+
 def test_first_diagonal_candidate_memory():
-    # the first piece of candidates costs two copies of the packed bit rows,
-    # one bit per vertex pair each, and the counts and temporaries of one row
-    # block, about 13 bytes for each of its _BLOCK_CELLS pairs (2.0 MB in all
-    # with numpy 2.4), so an n x n array cannot come back, not even at one
-    # byte per pair
+    # the first piece of candidates costs the packed bit rows and their copy
+    # padded with a zero row, one bit per vertex pair each, the neighbor
+    # lists and planes of the first span (one read-out block of rows), and
+    # the bits, counts and masks of that block, a few bytes for each of its
+    # _BLOCK_CELLS pairs (1.6 MB in all with numpy 2.4), so an n x n array
+    # cannot come back, not even at one byte per pair
     n = 2048
     g = sample_gnp(n, 0.03, 11)
     tracemalloc.start()
@@ -199,9 +264,9 @@ def test_first_diagonal_candidate_memory():
 
 
 def test_square_blocks_memory():
-    # each piece unpacks only its own rows, so the first piece of squares
-    # costs the filter's first piece, one row block's neighbors and, on this
-    # sparse host, few squares: no n x n byte matrix (16 MB here).  Not
+    # the first piece of squares costs the filter's first piece, the AND of
+    # its candidates' rows, read a chunk at a time, and, on this sparse
+    # host, few squares: no n x n byte matrix (16 MB here).  Not
     # n = 2048: its 4 MB matrix would fit the 16 * _BLOCK_CELLS term of a
     # block of 2**18 pairs
     n = 4096
@@ -494,9 +559,10 @@ def test_failing_pairs_built_once_and_never_on_an_early_hit(monkeypatch):
 
 def test_failing_pairs_memory():
     # at most four copies of one bit per vertex pair (the packed rows, the
-    # filter's transposed copy, the table's words and its int rows) and one
-    # row block's working set: no n x n byte matrix (16 MB here).  At
-    # p = 0.01 every row of the table is nonzero
+    # filter's padded copy, the table's words and its int rows), one span's
+    # neighbor lists and planes and one read-out block's working set: no
+    # n x n byte matrix (16 MB here).  At p = 0.01 every row of the table
+    # is nonzero
     n = 4096
     g = sample_gnp(n, 0.01, 11)
     tracemalloc.start()

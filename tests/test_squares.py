@@ -185,9 +185,10 @@ def test_isolated_scan_matches_full_build_with_prefilter(seed):
 
 
 def test_isolated_scan_memory():
-    # the scan shares one copy of the packed rows with the candidate filter
-    # and holds a flag per word and candidate of one piece, so it stays under
-    # the bound of the candidate filter alone
+    # the scan shares the packed rows with the candidate filter, which adds
+    # its padded copy and one span's lists and planes, and holds a flag per
+    # word and candidate of one piece, so it stays under the bound of the
+    # candidate filter alone
     n = 2048
     g = sample_gnp(n, density_from_coefficient(0.9, n).p, trial_seed(11, 0))
     tracemalloc.start()

@@ -38,8 +38,10 @@ Example, a full filter pass at CFS density against the parent commit::
 
     python tools/ab_layers.py candidates --rev HEAD~1 --n 1024 --tau 1.0 --graphs 3 --rounds 7
 
-``--k2 M`` times the layer on the complete bipartite graph K_{2,M} in place of
-G(n, p) samples: one bucket of M(M - 1)/2 squares.
+``--p P`` gives the edge probability itself, for hosts off both scales, such
+as the small dense G(130, 0.9).  ``--k2 M`` times the layer on the complete
+bipartite graph K_{2,M} in place of G(n, p) samples: one bucket of
+M(M - 1)/2 squares.
 """
 
 from __future__ import annotations
@@ -196,13 +198,14 @@ def main(argv: list[str] | None = None) -> int:
     density = parser.add_mutually_exclusive_group(required=True)
     density.add_argument("--c", type=float, help="p = c * sqrt(ln n / n)")
     density.add_argument("--tau", type=float, help="p = tau * 0.670435 / sqrt(n), the CFS scale")
+    density.add_argument("--p", type=float, help="the edge probability p itself")
     density.add_argument("--k2", type=int, metavar="M", help="K_{2,M} in place of G(n, p)")
     parser.add_argument("--master", type=int, default=3000, help="master seed (default 3000)")
     parser.add_argument("--graphs", type=int, default=3, help="graphs, trial_seed(master, 0..)")
     parser.add_argument("--rounds", type=int, default=7, help="timed calls per graph and side")
     args = parser.parse_args(argv)
     if (args.n is None) == (args.k2 is None) or args.k2 is not None and args.layer == "sampler":
-        parser.error("need --n with --c or --tau, or --k2 without --n (and not the sampler)")
+        parser.error("need --n with --c, --tau or --p, or --k2 without --n (and not the sampler)")
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
@@ -216,6 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if args.c is not None:
                 p = work.density_from_coefficient(args.c, args.n).p
+            elif args.p is not None:
+                p = args.p
             else:
                 p = min(1.0, args.tau * TAU_COEFFICIENT / math.sqrt(args.n))
             hosts = []
