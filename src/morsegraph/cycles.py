@@ -74,9 +74,10 @@ _SPAN_WORDS = 2**14
 _PAIR_CHUNK = 2**12
 # ``_make_bad_bits`` builds its table of failing pairs once its lazy clique
 # tests, one per queried pair, pass max(n(n - 1)/2, _PAIR_CHUNK) // _TABLE_SHARE.
-# Against 8 (n = 1024, six graphs a cell): 4 slows a search with no hit
-# (c = 0.85: 1.20-1.28 of its time); 16 speeds it (0.88-0.91) but makes more
-# late hits pay the build (c = 0.7: one graph in six, 3 times slower).  The
+# Against 8 (n = 1024, six graphs a cell, quartiles of paired ratios): 4
+# slows a search with no hit (c = 0.85: 1.17-1.26 of its time); 16 speeds
+# it (0.86-0.95) but makes more late hits pay the build (c = 0.7: built on
+# five graphs of six, not four; 0.83-1.09, some pairs slower).  The
 # build costs at least one piece of candidates, more than all the lazy tests
 # of a small graph (n = 12: 2.7 times, counted from n(n - 1)/2 alone); 2-core
 # x86-64, numpy 2.4.
