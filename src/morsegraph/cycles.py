@@ -11,8 +11,8 @@ pair {x, y} in it spans the square u-x-w-y.  Only pairs with at least two
 common neighbors can have a non-empty bucket; ``_candidate_blocks`` yields
 them as index arrays in lexicographic order, in pieces of at most
 ``_PAIR_CHUNK`` pairs, from two bit planes per row: the vertices reached
-through at least one, and through at least two, of its neighbors, walked a
-span of rows at a time.  Two kinds of consumer read them.
+through at least one, and at least two, of its neighbors, walked a span of
+rows at a time from lists read in one pass.  Two kinds of consumer read them.
 ``_square_blocks`` lists every square of a piece at once as a ``(k, 4)``
 array: each candidate reads its common neighbors out of the AND of its two
 packed rows, one round per set bit of the fullest word, in increasing order
@@ -207,9 +207,9 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
 
     These are exactly the pairs that can occur as a diagonal of an induced
     square.  Common neighbors are counted, capped at two, over each row's
-    neighbors, not over every pair: ``_common_planes`` walks a span of rows,
-    in O(m * n / 32) word operations where an all-pairs count takes
-    O(n**3 / 128), over the words from the span's first row on, the upper
+    neighbors, not over every pair: ``_common_planes`` reads a span's lists
+    in one pass and walks them in O(m * n / 32) word operations (all pairs:
+    O(n**3 / 128)), over the words from the span's first row on, the upper
     triangle it keeps.  A span starts at one read-out block and doubles up
     to ``_SPAN_WORDS`` words a plane, so an early exit pays for one small
     span and a full pass makes few calls.  A read-out block is
@@ -233,7 +233,7 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
             span = min(2 * span, widest) or step
             first, end = start, min(start + span, n)
             low = first // 64 * 64  # the planes start at first's word
-            once, twice = _common_planes(packed, padded[:, low // 64 :], first, end, step)
+            once, twice = _common_planes(packed[first:end], padded[:, low // 64 :])
         rows = slice(start - first, start - first + step)
         block = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
         counts = (_bits(once[rows], n - low) + _bits(twice[rows], n - low))[:, start - low :]
@@ -249,27 +249,23 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
             yield us, ws
 
 
-def _common_planes(
-    packed: np.ndarray, padded: np.ndarray, first: int, end: int, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(once, twice)`` for the rows ``first .. end - 1``: per row ``u``, in
-    the words of ``padded``, the vertices with at least one and at least two
-    common neighbors with ``u``.  Rank r ORs the row of each ``u``'s r-th
+def _common_planes(rows: np.ndarray, padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(once, twice)`` for the packed ``rows`` of a span: per row, in the
+    words of ``padded``, the vertices with at least one and at least two
+    common neighbors with it.  Rank r ORs the row of each row's r-th
     neighbor into both planes, ``twice`` first; shorter lists are padded
-    with ``n``, the zero row of ``padded``.  The lists are read ``step``
-    rows at a time, unpacking only the nonzero bytes of ``packed``."""
-    n, width = packed.shape
-    degree = np.bitwise_count(packed[first:end]).sum(axis=1, dtype=np.intp)
-    neighbors = np.full((degree.max(initial=0), end - first), n, dtype=np.intp)  # by rank
-    for b in range(first, end, step):
-        cells = packed[b : b + step].ravel()
-        at = np.flatnonzero(cells)
-        bit = np.flatnonzero(np.unpackbits(cells[at], bitorder="little"))
-        at = at[bit >> 3]  # row-major: each row's neighbors in increasing order
-        own = degree[b - first : b - first + step]
-        rank = np.arange(len(at)) - np.repeat(np.cumsum(own) - own, own)
-        neighbors[rank, at // width + (b - first)] = at % width * 8 + (bit & 7)
-    once = np.zeros((end - first, padded.shape[1]), dtype=np.uint64)
+    with the zero row of ``padded``, its last.  The lists come from one
+    pass over the span's nonzero bytes, and the degrees from those lists."""
+    width = rows.shape[1]
+    at = np.flatnonzero(rows)
+    bit = np.flatnonzero(np.unpackbits(rows.ravel()[at], bitorder="little"))
+    at = at[bit >> 3]  # row-major: each row's neighbors in increasing order
+    row = at // width
+    degree = np.bincount(row, minlength=len(rows))
+    rank = np.arange(len(at)) - np.repeat(np.cumsum(degree) - degree, degree)
+    neighbors = np.full((degree.max(initial=0), len(rows)), len(padded) - 1, dtype=np.intp)
+    neighbors[rank, row] = (at - row * width) * 8 + (bit & 7)  # at % width, not divided again
+    once = np.zeros((len(rows), padded.shape[1]), dtype=np.uint64)
     twice = np.zeros_like(once)
     for rank in neighbors:
         near = padded[rank]

@@ -52,17 +52,18 @@ INDUCED_CYCLE_COUNT = "induced-cycle-count"
 MORSE_CYCLE_COUNT = "morse-cycle-count"
 
 # tag name -> (integer parameters, least length allowed for them, the fixed
-# lengths (kmin, kmax) of a bare Morse tag).  An isolated square-graph vertex
-# is exactly a Morse square, so both square tags ask the length-4 question.
-_TAGS: dict[str, tuple[int, int | None, tuple[int, int] | None]] = {
-    MORSE_PENTAGON_EXISTS: (0, None, (5, 5)),
-    MORSE_CYCLE_EXISTS: (2, 4, None),
-    MORSE_SQUARE_EXISTS: (0, None, (4, 4)),
-    SQUARE_ISOLATED_EXISTS: (0, None, (4, 4)),
-    SQUARE_GRAPH_CONNECTED: (0, None, None),
-    CFS: (0, None, None),
-    INDUCED_CYCLE_COUNT: (1, 3, None),
-    MORSE_CYCLE_COUNT: (1, 4, None),
+# lengths (kmin, kmax) of a bare Morse tag, the cycle length of the summary's
+# first-moment reference).  An isolated square-graph vertex is exactly a
+# Morse square, so both square tags ask the length-4 question.
+_TAGS: dict[str, tuple[int, int | None, tuple[int, int] | None, int | None]] = {
+    MORSE_PENTAGON_EXISTS: (0, None, (5, 5), 5),
+    MORSE_CYCLE_EXISTS: (2, 4, None, None),
+    MORSE_SQUARE_EXISTS: (0, None, (4, 4), 4),
+    SQUARE_ISOLATED_EXISTS: (0, None, (4, 4), 4),
+    SQUARE_GRAPH_CONNECTED: (0, None, None, None),
+    CFS: (0, None, None, None),
+    INDUCED_CYCLE_COUNT: (1, 3, None, None),
+    MORSE_CYCLE_COUNT: (1, 4, None, None),  # its reference uses its own k
 }
 
 
@@ -86,7 +87,7 @@ class PropertyKind:
         name, *params = tag.split(":")
         if name not in _TAGS:
             raise InvalidParameter(f"unknown property tag {tag!r}")
-        arity, least, _ = _TAGS[name]
+        arity, least, _, _ = _TAGS[name]
         if len(params) != arity:
             raise InvalidParameter(f"property {name!r} takes {arity} parameter(s), got {tag!r}")
         try:
@@ -342,18 +343,12 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 def _analytic_reference(n: int, p: float, prop: PropertyKind) -> float | None:
     """First-moment reference attached to a summary cell, when one is defined."""
+    length = prop.k if prop.name == MORSE_CYCLE_COUNT else _TAGS[prop.name][3]
+    moment = {4: analytic.expected_morse_squares, 5: analytic.expected_morse_pentagons}.get(length)
     try:
-        if prop.name in (MORSE_PENTAGON_EXISTS,) or (
-            prop.name == MORSE_CYCLE_COUNT and prop.k == 5
-        ):
-            return analytic.expected_morse_pentagons(n, p)
-        if prop.name in (MORSE_SQUARE_EXISTS, SQUARE_ISOLATED_EXISTS) or (
-            prop.name == MORSE_CYCLE_COUNT and prop.k == 4
-        ):
-            return analytic.expected_morse_squares(n, p)
+        return None if moment is None else moment(n, p)
     except MorsegraphError:
         return None
-    return None
 
 
 def _sweep_task(args: tuple[int, float | None, float, PropertyKind, int, int]) -> TrialRecord:

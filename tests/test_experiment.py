@@ -303,6 +303,35 @@ def test_analytic_reference_domain_and_faults(monkeypatch):
         exp._analytic_reference(64, 0.1, square)
 
 
+@pytest.mark.parametrize(
+    "tag, length",
+    [
+        ("morse-pentagon-exists", 5),
+        ("morse-cycle-count:5", 5),
+        ("morse-square-exists", 4),
+        ("square-isolated-exists", 4),
+        ("morse-cycle-count:4", 4),
+        ("morse-cycle-count:6", None),
+        ("morse-cycle-exists:4:4", None),
+        ("morse-cycle-exists:5:5", None),
+        ("morse-cycle-exists:5:8", None),
+        ("induced-cycle-count:4", None),
+        ("induced-cycle-count:5", None),
+        ("cfs", None),
+        ("square-graph-connected", None),
+    ],
+)
+def test_analytic_reference_of_every_tag_kind(tag, length):
+    """mu5 for the pentagon tags, mu4 for the square tags, and no reference
+    for the rest; mu4 and mu5 differ at (64, 0.1), so a swap shows."""
+    from morsegraph import analytic
+    from morsegraph.experiment import _analytic_reference
+
+    moment = {4: analytic.expected_morse_squares, 5: analytic.expected_morse_pentagons}
+    want = moment[length](64, 0.1) if length else None
+    assert _analytic_reference(64, 0.1, P(tag)) == want
+
+
 @pytest.mark.parametrize("affinity", [{0, 2, 5}, None])
 def test_sweep_default_workers_follow_cpu_affinity(tmp_path, monkeypatch, affinity):
     import morsegraph.experiment as exp

@@ -2,10 +2,12 @@
 side by side in one process, and check that both give the same output.
 
 The earlier revision's ``src/morsegraph`` comes from ``git archive <rev>``
-into a temporary directory; each tree is imported under its own package
-name (``morsegraph_base`` and ``morsegraph_work``).  Graphs are sampled once
-per seed, ``sample_gnp(n, p, trial_seed(master, i))``, and handed to each
-side as its own ``Graph``.  Outputs are compared on every graph before any
+into a temporary directory.  It must be ``cf38a9b`` or later, whose
+``cycles`` has ``_candidate_blocks(packed)`` and ``_failing_pairs``.  Each
+tree is imported under its own package name (``morsegraph_base`` and
+``morsegraph_work``).  Graphs are sampled once per seed,
+``sample_gnp(n, p, trial_seed(master, i))``, and handed to each side as its
+own ``Graph``.  Outputs are compared on every graph before any
 timing.  Calls are then interleaved, the side that goes first alternating
 between rounds, with the process pinned to one CPU.  The report gives each
 side's median time, the median and quartiles of the paired ratios
@@ -91,11 +93,7 @@ def archive_package(rev: str, dest: Path) -> Path:
 
 
 def _candidate_pieces(pkg, g):
-    cycles = pkg.cycles
-    packed = cycles._packed_rows(g)
-    if hasattr(cycles, "_word_columns"):  # revisions whose filter took the transposed words
-        return cycles._candidate_blocks(packed, cycles._word_columns(packed))
-    return cycles._candidate_blocks(packed)
+    return pkg.cycles._candidate_blocks(pkg.cycles._packed_rows(g))
 
 
 def _candidates(pkg, g, host):
@@ -134,10 +132,8 @@ TABLE_LAYERS = ("morse", "count5")
 
 def with_table_builds(pkg, call):
     """``call()``'s result and how many tables of failing pairs it built
-    (calls of ``pkg.cycles._failing_pairs``), ``None`` if ``pkg`` has none."""
-    build = getattr(pkg.cycles, "_failing_pairs", None)
-    if build is None:
-        return call(), None
+    (calls of ``pkg.cycles._failing_pairs``)."""
+    build = pkg.cycles._failing_pairs
     graphs = []
 
     def counted(g):
@@ -193,7 +189,8 @@ def same(a, b) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("layer", choices=sorted(LAYERS))
-    parser.add_argument("--rev", default="HEAD", help="earlier revision (default HEAD)")
+    parser.add_argument("--rev", default="HEAD",
+                        help="earlier revision, cf38a9b or later (default HEAD)")
     parser.add_argument("--n", type=int, help="vertex count")
     density = parser.add_mutually_exclusive_group(required=True)
     density.add_argument("--c", type=float, help="p = c * sqrt(ln n / n)")
@@ -279,11 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.layer in TABLE_LAYERS:
         for side in sides:
             built = tables[side]
-            if None in built:
-                print(f"  {side}: no table of failing pairs at this revision")
-            else:
-                print(f"  {side}: pair table built on {sum(b > 0 for b in built)} "
-                      f"of {len(built)} graphs")
+            print(f"  {side}: pair table built on {sum(b > 0 for b in built)} "
+                  f"of {len(built)} graphs")
     return 0
 
 
