@@ -38,17 +38,21 @@ as common neighborhood (an empty bucket).  The test does not depend on the
 rest of the cycle, so its answers are kept in per-vertex bitsets --
 ``known[u]``, the vertices tested against ``u``, and ``bad[u]``, those that
 failed -- filled lazily, each pair tested once, the first time a query asks
-for it.  Once those tests pass a fixed share of all vertex pairs, the rest
-of the search reads one table of the failing pairs, built from the
-candidate stream by ``_lowest_gaps``; an early hit never builds it.  A
-node's cycles are tested at its parent: expanding a vertex masks its
-children once against each middle path vertex and the anchor, then ORs the
-closing vertices of all live children into one mask and tests it against
-each middle vertex and the expanded one.  Popping a child costs one bit
-test, its cycles are read off that mask, and a failed pair cuts every
-branch through it.  A path of L vertices closes an (L + 1)-cycle, so a
-child is expanded only while its children can close a cycle of length
-<= kmax.
+for it.  Once those tests pass a fixed share of all vertex pairs,
+``_failing_pairs`` fills ``bad`` with every failing pair, from the
+candidate stream and ``_lowest_gaps``, and every ``known[u]`` becomes all
+ones; an early hit never builds it.  A node's cycles are tested at its
+parent: expanding a vertex masks its children once against each middle
+path vertex and the anchor, then ORs the closing vertices of all live
+children into one mask and tests it against each middle vertex and the
+expanded one.  Each level carries what its children share: the masks
+their candidates and closing vertices are cut from, and the OR of ``bad``
+and the AND of ``known`` over the path past the anchor, so a bit every
+vertex asked has tested takes no call (after the switch, every bit).
+Popping a child costs one bit test, its cycles are read off that mask, and
+a failed pair cuts every branch through it.  A path of L vertices closes
+an (L + 1)-cycle, so a child is expanded only while its children can close
+a cycle of length <= kmax.
 """
 
 from __future__ import annotations
@@ -438,24 +442,23 @@ def _make_bad_bits(g: Graph):
     each unordered pair reaches the clique test at most once; one with
     fewer than two common neighbors costs it one loop step at most.  The
     test does not depend on any surrounding cycle, so a failed pair rules
-    out every Morse cycle of length >= 5 through it.
+    out every Morse cycle of length >= 5 through it.  The two lists are
+    ``bad_bits.known`` and ``bad_bits.bad``, so a caller can settle a bit
+    known to every vertex it asks without a call.
 
     Once more than max(n(n - 1)/2, ``_PAIR_CHUNK``) // ``_TABLE_SHARE``
-    pairs have reached the clique test, the search is past its early hits,
-    and ``_failing_pairs`` builds the answers for every pair at once; every
-    later query returns ``table[u] & need``.  The switch counts work done,
-    so a search that stops early never pays for the table.
+    pairs have reached the clique test, the search is past its early hits:
+    ``_failing_pairs`` fills ``bad`` in place and every ``known[u]`` becomes
+    -1, so later queries test nothing.  The switch counts work done, so a
+    search that stops early never pays for the table.
     """
     rows = g.rows
     known = [0] * g.n
     bad = [0] * g.n
     tested, limit = 0, max(g.n * (g.n - 1) // 2, _PAIR_CHUNK) // _TABLE_SHARE
-    table = None
 
     def bad_bits(u: int, need: int) -> int:
-        nonlocal tested, table
-        if table is not None:
-            return table[u] & need
+        nonlocal tested
         todo = need & ~known[u]
         if todo:
             known[u] |= todo
@@ -472,10 +475,12 @@ def _make_bad_bits(g: Graph):
                     failed |= low
                     bad[w] |= bit_u
             bad[u] |= failed
-            if tested > limit:
-                table = _failing_pairs(g)
+            if tested > limit:  # every pair is known from here on
+                bad[:] = _failing_pairs(g)
+                known[:] = [-1] * g.n
         return bad[u] & need
 
+    bad_bits.known, bad_bits.bad = known, bad
     return bad_bits
 
 
@@ -525,8 +530,9 @@ def _morse_cycles(
     test), which asks the pair test the same pairs as one test per child
     would; a popped child yields its cycles from that mask in order.  A
     node whose children can only close kmax-cycles, none passing, is closed
-    at once without pushing them.  The units are those the pops would pay,
-    in the same sums at every cycle, paid in bulk between cycles.
+    at once without pushing them.  Each level carries its children's masks
+    and the pair answers its path shares.  The units are those the pops
+    would pay, in the same sums at every cycle, paid in bulk between cycles.
     """
     from .squares import isolated_squares
 
@@ -546,26 +552,28 @@ def _morse_cycles(
 
     n, rows = g.n, g.rows
     bad_bits = _make_bad_bits(g)
+    known, bad = bad_bits.known, bad_bits.bad
     for a in range(n - kmin + 1):
         ra = rows[a]
         high = -1 << (a + 1)
         path = [a]
-        path_mask = 1 << a
         # per level: the candidates not yet popped and those passing the pair
         # test, the vertices that would close a candidate's cycle and those
-        # passing, and the rows of the middle path vertices.  Every popped
-        # candidate costs one budget unit, passing or not; the failed ones
-        # are paid in bulk, which changes nothing since no answer can come
-        # between them.
-        levels = [[ra & high, -1, 0, 0, 0]]
+        # passing; then, over the path past the anchor, the masks its
+        # children's candidates (outside ra) and closing vertices (inside)
+        # are cut from (a path vertex leaves them with a path neighbor's row,
+        # before a cycle can close on it), the OR of bad and the AND of known.
+        # Every popped candidate costs one budget unit, passing or not; the
+        # failed ones are paid in bulk: no answer can come between them.
+        levels = [[ra & high, -1, 0, 0, high & ~ra, ra & high, 0, -1]]
         while levels:
             level = levels[-1]
-            rest, keep, close, good, mid = level
+            rest, keep, close, good, avail, cbase, fb, fk = level
             live = rest & keep
             if not live:
                 spend(rest.bit_count())
                 levels.pop()
-                path_mask ^= 1 << path.pop()
+                path.pop()
                 continue
             low = live & -live
             # units owed since the last payment; paid before each cycle, and
@@ -573,7 +581,8 @@ def _morse_cycles(
             owed = (rest & ((low << 1) - 1)).bit_count()
             level[0] = rest & -(low << 1)
             x = low.bit_length() - 1
-            closing = rows[x] & close
+            rx = rows[x]
+            closing = rx & close
             hits = closing & good
             while hits:
                 z = hits & -hits
@@ -589,24 +598,26 @@ def _morse_cycles(
             if child_k > kmax:
                 spend(owed)
                 continue
-            if len(path) >= 2:
-                mid |= rows[path[-1]]
             path.append(x)
-            path_mask |= low
             # every child is non-adjacent to each middle vertex and to the
             # anchor, and every closing vertex to each middle vertex and x;
             # all these pairs persist into any cycle through them, so drop
-            # those that fail the test
-            cand = keep = rows[x] & high & ~mid & ~ra & ~path_mask
-            for u in path[1:-1]:
-                if not keep:
-                    break
-                keep &= ~bad_bits(u, keep)
-            if keep:
-                keep &= ~bad_bits(a, keep)
+            # those that fail the test.  A bit every vertex asked has tested
+            # is settled from the masks; only the others are asked, in order
+            cand = rx & avail
+            kk = fk & known[a]
+            rest = cand & ~kk
+            if rest:
+                for u in path[1:-1]:
+                    if not rest:
+                        break
+                    rest &= ~bad_bits(u, rest)
+                if rest:
+                    rest &= ~bad_bits(a, rest)
+            keep = cand & kk & ~(fb | bad[a]) | rest
             close = good = units = 0
             if keep and kmin <= child_k:
-                close = ra & high & ~(mid | rows[x]) & ~path_mask
+                close = cbase & ~rx
                 rest = keep
                 while rest:
                     y = rest & -rest
@@ -617,19 +628,23 @@ def _morse_cycles(
                 # closing vertices at or below path[1] are the reflected
                 # orientation
                 good &= -(2 << path[1])
-                for u in path[1:]:
-                    if not good:
-                        break
-                    good &= ~bad_bits(u, good)
+                kk = fk & known[x]
+                rest = good & ~kk
+                if rest:
+                    for u in path[1:]:
+                        if not rest:
+                            break
+                        rest &= ~bad_bits(u, rest)
+                good = good & kk & ~(fb | bad[x]) | rest
             if good or keep and child_k < kmax:
                 spend(owed)
-                levels.append([cand, keep, close, good, mid])
+                levels.append([cand, keep, close, good, avail & ~rx, cbase & ~rx,
+                               fb | bad[x], fk & known[x]])
                 continue
             # x is closed here: no child passes, or its children close
             # kmax-cycles only and none of them passes
             spend(owed + cand.bit_count() + units)
             path.pop()
-            path_mask ^= low
 
 
 def morse_pruned_cycle_search(

@@ -388,7 +388,7 @@ def run_sweep(config: SweepConfig, *, workers: int | None = None) -> SweepSummar
         records = [_sweep_task(task) for task in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             records = list(pool.map(_sweep_task, tasks, chunksize=chunk))
 
     with open(config.out, "w", encoding="ascii", newline="\n") as fh:

@@ -701,6 +701,52 @@ def test_morse_stream_table_switch(monkeypatch, n, c, seed, kmax, calls):
     assert len(made) == after
 
 
+@pytest.mark.parametrize("n, c, seed, kmax, calls", CLIQUE_TEST_GOLDEN)
+def test_morse_stream_independent_of_table_switch(monkeypatch, n, c, seed, kmax, calls):
+    # the whole stream and its prefixes cut by a budget read the same
+    # whenever the table of failing pairs is built: never (share 1), after a
+    # lazy share, or at the first query (a share past n(n - 1)/2).  A build
+    # leaves every pair known and bad holding exactly the failing pairs
+    g = sample_gnp(n, density_from_coefficient(c, n).p, trial_seed(3141, seed))
+    table = _failing_pairs(g)
+    # the stream's smallest sufficient budget: a count's for kmax = 5
+    goldens = {5: BUDGET_GOLDEN, 8: RANGE_BUDGET_GOLDEN}[kmax]
+    total = next(budget for m, _, _, budget, _ in goldens if m == n)
+    made, builds = [], []
+    make_bad_bits, failing_pairs = _make_bad_bits, _failing_pairs
+
+    def recorded(graph):
+        made.append(make_bad_bits(graph))
+        return made[-1]
+
+    def built(graph):
+        builds.append(graph)
+        return failing_pairs(graph)
+
+    monkeypatch.setattr(cycles_module, "_make_bad_bits", recorded)
+    monkeypatch.setattr(cycles_module, "_failing_pairs", built)
+    runs = []
+    for share in (1, 2, 8, 64, n * n):
+        monkeypatch.setattr(cycles_module, "_TABLE_SHARE", share)
+        del made[:], builds[:]
+        run = [list(_morse_cycles(g, 5, kmax))]
+        for budget in (10**3, total // 2, total - 1):
+            run.append([])
+            with pytest.raises(SearchBudgetExceeded):
+                for cycle in _morse_cycles(g, 5, kmax, budget):
+                    run[-1].append(cycle)
+        runs.append(run)
+        done = [b for b in made if -1 in b.known]
+        assert len(done) == len(builds)
+        if share == 1:
+            assert not builds
+        elif share == n * n:  # at the first query of each of the four runs
+            assert len(builds) == 4
+        for bad_bits in done:
+            assert bad_bits.known == [-1] * n and bad_bits.bad == table
+    assert all(run == runs[0] for run in runs[1:])
+
+
 # sha256 of repr(list(_morse_cycles(g, 5, kmax))), recorded while the DFS
 # still pushed its last path level: the order is pinned, not just the set
 STREAM_GOLDEN = [

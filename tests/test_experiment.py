@@ -362,6 +362,24 @@ def test_sweep_default_workers_follow_cpu_affinity(tmp_path, monkeypatch, affini
     assert started == [7 if affinity is None else len(affinity)]
 
 
+def test_sweep_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    import morsegraph.experiment as exp
+
+    sizes = []
+    pool = exp.ProcessPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", recording)
+    out = tmp_path / "w.jsonl"
+    cfg = SweepConfig.from_mapping(dict(BASE_CONFIG, ns=[12], properties=["cfs"], trials=2, out=str(out)))
+    run_sweep(cfg, workers=4)
+    assert sizes == [2]
+    assert len(out.read_text().splitlines()) == 2
+
+
 BASE_CONFIG = {
     "ns": [12, 16],
     "coefficients": [0.6],

@@ -41,7 +41,9 @@ Example, a full filter pass at CFS density against the parent commit::
     python tools/ab_layers.py candidates --rev HEAD~1 --n 1024 --tau 1.0 --graphs 3 --rounds 7
 
 ``--p P`` gives the edge probability itself, for hosts off both scales, such
-as the small dense G(130, 0.9).  ``--k2 M`` times the layer on the complete
+as the small dense G(130, 0.9).  A host on which either side stops with
+``CapacityExceeded`` (a square graph past its cap) is reported with its seed
+and the cap, and skipped; the tool fails only when no host is left.  ``--k2 M`` times the layer on the complete
 bipartite graph K_{2,M} in place of G(n, p) samples: one bucket of
 M(M - 1)/2 squares.
 """
@@ -229,16 +231,30 @@ def main(argv: list[str] | None = None) -> int:
 
         graphs = {side: [host.on(pkg) for host in hosts] for side, pkg in sides.items()}
         tables = {side: [] for side in sides}  # per graph, the pair tables built
+        capped = tuple(pkg.CapacityExceeded for pkg in sides.values())
+        kept = []
         for i, host in enumerate(hosts):  # equal outputs, and warm caches, before any timing
-            outputs = []
-            for side, pkg in sides.items():
-                g = graphs[side][i]
-                output, built = with_table_builds(pkg, lambda: layer(pkg, g, host))
-                outputs.append(output)
-                tables[side].append(built)
+            outputs, builds = [], []
+            try:
+                for side, pkg in sides.items():
+                    g = graphs[side][i]
+                    output, built = with_table_builds(pkg, lambda: layer(pkg, g, host))
+                    outputs.append(output)
+                    builds.append(built)
+            except capped as exc:
+                print(f"seed {host.seed}: {exc}; host skipped", file=sys.stderr)
+                continue
             if not same(*outputs):
                 print(f"MISMATCH on seed {host.seed}: the two trees disagree", file=sys.stderr)
                 return 1
+            kept.append(i)
+            for side, built in zip(sides, builds):
+                tables[side].append(built)
+        if not kept:
+            print("no host left to time", file=sys.stderr)
+            return 1
+        hosts = [hosts[i] for i in kept]
+        graphs = {side: [gs[i] for i in kept] for side, gs in graphs.items()}
 
         times = {side: [] for side in sides}
         for r in range(args.rounds):
