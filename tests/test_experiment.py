@@ -374,8 +374,8 @@ def test_sweep_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(exp, "ProcessPoolExecutor", recording)
     out = tmp_path / "w.jsonl"
-    cfg = SweepConfig.from_mapping(dict(BASE_CONFIG, ns=[12], properties=["cfs"], trials=2, out=str(out)))
-    run_sweep(cfg, workers=4)
+    small = dict(BASE_CONFIG, ns=[12], properties=["cfs"], trials=2, out=str(out))
+    run_sweep(SweepConfig.from_mapping(small), workers=4)
     assert sizes == [2]
     assert len(out.read_text().splitlines()) == 2
 

@@ -41,11 +41,11 @@ Example, a full filter pass at CFS density against the parent commit::
     python tools/ab_layers.py candidates --rev HEAD~1 --n 1024 --tau 1.0 --graphs 3 --rounds 7
 
 ``--p P`` gives the edge probability itself, for hosts off both scales, such
-as the small dense G(130, 0.9).  A host on which either side stops with
-``CapacityExceeded`` (a square graph past its cap) is reported with its seed
-and the cap, and skipped; the tool fails only when no host is left.  ``--k2 M`` times the layer on the complete
+as the small dense G(130, 0.9).  ``--k2 M`` times the layer on the complete
 bipartite graph K_{2,M} in place of G(n, p) samples: one bucket of
-M(M - 1)/2 squares.
+M(M - 1)/2 squares.  A host on which either side stops with
+``CapacityExceeded`` (a square graph past its cap) is reported with its seed
+and the cap, and skipped; the tool fails only when no host is left.
 """
 
 from __future__ import annotations
