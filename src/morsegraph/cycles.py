@@ -21,9 +21,11 @@ in numpy, each candidate's three lowest common neighbors and the
 non-adjacent pairs among them.  The isolated-square scan of ``squares``
 drops each candidate with two or more of those pairs, which rules out a
 singleton bucket, and reads the bucket of one with exactly two common
-neighbors off those two; it reads the buckets of the rest one at a time
-through ``_diagonal_bucket`` and can stop early.  A square is emitted from its
-smaller diagonal, which makes its vertex order canonical as built.
+neighbors off those two.  Of the rest, it drops those with two or more
+bucket pairs through the two lowest, read from their two rows in numpy,
+and reads the others' buckets one at a time through ``_diagonal_bucket``;
+it can stop early.  A square is emitted from its smaller diagonal, which
+makes its vertex order canonical as built.
 
 ``_morse_cycles`` yields every Morse cycle in a length range once; the
 Morse search takes its first cycle and ``morse.count_morse_cycles`` counts
@@ -221,6 +223,9 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
     n <= 2**16 (16 rows at n = 4096): its planes are unpacked and summed
     into counts, and its pairs held as one array of flat indices, split into
     ``(us, ws)`` a piece at a time; its counts and masks are freed first.
+    Column j of block row i is the pair ``(start + i, start + j)``, so the
+    pairs with w <= u lie in the block's leading square, and a strict-upper
+    mask of that square alone clears them, not a triangle over the block.
     Memory is the caller's packed rows, their copy padded with a zero row,
     one span's neighbor lists and planes, and one block's working set.  A
     consumer that builds from each piece, as ``build_square_graph`` does,
@@ -241,8 +246,9 @@ def _candidate_blocks(packed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarr
         rows = slice(start - first, start - first + step)
         block = np.unpackbits(packed[start : start + step], axis=1, count=n, bitorder="little")
         counts = (_bits(once[rows], n - low) + _bits(twice[rows], n - low))[:, start - low :]
-        # keep w > u: column j of block row i is the pair (start + i, start + j)
-        cand = np.triu((block[:, start:] == 0) & (counts >= 2.0), 1)
+        # pairs with w <= u lie in the leading square of the block's rows
+        cand = (block[:, start:] == 0) & (counts >= 2.0)
+        cand[:, : len(cand)] &= ~np.tri(len(cand), dtype=bool)
         del counts  # not held beside the pair indices
         flat = np.flatnonzero(cand).astype(np.uint32)  # below step * n < 2**32
         del block, cand  # nor are the masks, while the pieces are read
@@ -366,16 +372,19 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
     run as it has set bits; round r writes the r-th lowest bit of each word
     that still has one at its slot + r, so the ``(candidate, x)`` pairs come
     out in increasing order with no sort.  The neighbors ``x > u`` are kept,
-    and every non-adjacent pair ``x < y`` of them spans the square u-x-w-y.
+    and every non-adjacent pair ``x < y`` of them spans the square u-x-w-y;
+    candidates come in lexicographic order, so a piece reads its rows from
+    the word of its first ``u`` on, and no kept center lies below it.
     Taking only centers above ``u`` emits a square from its smaller diagonal
     alone, where ``u`` is least and ``x < y``, so each row is already
     canonical.  Rows come in lexicographic order of ``(u, w, x, y)``.
     """
     packed = _packed_rows(g)
-    rows = packed.view(np.uint64)
-    width = rows.shape[1]
     step = max(_BLOCK_CELLS // packed.shape[1], 1)  # candidates of _BLOCK_CELLS bytes
     for us, ws in _candidate_blocks(packed):
+        lead = int(us[0]) >> 6  # no center kept lies below the piece's first row
+        rows = packed.view(np.uint64)[:, lead:]
+        width = rows.shape[1]
         at, words = [], []  # flat (candidate, word) index and value of each nonzero word
         for i in range(0, len(us), step):
             both = rows[us[i : i + step]] & rows[ws[i : i + step]]
@@ -386,7 +395,7 @@ def _square_blocks(g: Graph) -> Iterator[np.ndarray]:
         bits = np.bitwise_count(words)
         xs = np.empty(int(bits.sum(dtype=np.intp)), dtype=np.intp)
         slot = np.cumsum(bits, dtype=np.intp) - bits
-        base = 64 * (at % width)
+        base = 64 * (at % width + lead)
         while len(words):  # round r: the r-th lowest bit of each word with one
             low = words & (~words + 1)
             xs[slot] = base + np.bitwise_count(low - 1)

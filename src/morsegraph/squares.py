@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from .cycles import (
-    _candidate_blocks, _diagonal_bucket, _lowest_gaps, _packed_rows, _ranges, _square_blocks
+    _adjacent, _candidate_blocks, _diagonal_bucket, _lowest_gaps, _packed_rows, _ranges,
+    _square_blocks,
 )
 from .errors import CapacityExceeded, InvalidParameter, _integer
 from .graph import Graph, PathLike
@@ -199,16 +200,27 @@ def isolated_squares(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     test over each piece of candidates first drops those with two or more of
     them.  A candidate with exactly two common neighbors ``x1 < x2`` has the
     bucket ``(x1, x2)`` if they are non-adjacent and none if not, so it is
-    kept only with that bucket above it, ``x1 > u``; only candidates with
-    three or more read their buckets, one at a time, in Python.  A square
-    comes from its smaller diagonal, where ``u < x < y``, so ``(u, x, w, y)``
-    is canonical; squares come in the order of ``enumerate_induced_squares``.
+    kept only with that bucket above it, ``x1 > u``.  One with three or
+    more reads, in numpy, the rows of ``x1`` and ``x2`` over its common
+    neighborhood: each non-adjacent pair through either is a pair of its
+    bucket, and it is dropped with two or more.  Only the rest read their
+    buckets, one at a time, in Python.  A square comes from its smaller
+    diagonal, where ``u < x < y``, so ``(u, x, w, y)`` is canonical; squares
+    come in the order of ``enumerate_induced_squares``.
     These are exactly the Morse squares of ``g``.
     """
     packed = _packed_rows(g)
+    rows = packed.view(np.uint64)
     for us, ws in _candidate_blocks(packed):
         gaps, x1, x2, third = _lowest_gaps(packed, us, ws)
         keep = np.where(third, gaps <= 1, (gaps == 1) & (x1 > us))
+        kept = np.flatnonzero(keep & third)
+        common = rows[us[kept]] & rows[ws[kept]]
+        # the pairs (x1, y) and (x2, y) of the bucket, (x1, x2) counted once
+        pairs = sum(np.bitwise_count(common & ~rows[x[kept]]).sum(axis=1, dtype=np.intp) - 1
+                    for x in (x1, x2)) - ~_adjacent(packed, x1[kept], x2[kept])
+        keep[kept[pairs > 1]] = False
+        del common  # not held through the reads or the next piece
         for u, w, x, y, more in zip(*(a[keep].tolist() for a in (us, ws, x1, x2, third))):
             if more:
                 bucket = _diagonal_bucket(g, u, w, 2)

@@ -195,10 +195,11 @@ def test_square_prefilter_paths_agree():
             assert sum(int(us[-1]) < step for us, _ in pieces if len(us)) > 1
 
 
-def _k2_across_words(m):
-    """K_{2,m} with its two hubs at 63 and 64, either side of a word boundary."""
-    others = [v for v in range(m + 2) if v not in (63, 64)]
-    return build_graph(m + 2, [(hub, v) for hub in (63, 64) for v in others])
+def _k2_across_words(m, hubs=(63, 64)):
+    """K_{2,m} with its two hubs at ``hubs``, by default 63 and 64, either
+    side of a word boundary."""
+    others = [v for v in range(m + 2) if v not in hubs]
+    return build_graph(m + 2, [(hub, v) for hub in hubs for v in others])
 
 
 def _isolated_and_pendant():
@@ -241,6 +242,34 @@ def test_candidate_rank_walk_matches_python_sets(name, g):
     if name == "sparse2048":
         assert len(listed) > 100
         assert _SPAN_WORDS // (2048 // 64) > _BLOCK_CELLS // 2048  # spans over blocks
+
+
+def test_candidate_filter_memory_at_small_n():
+    # a block's strict-upper mask covers its leading square, as many rows a
+    # side as the block has: at n = 6 a block could hold _BLOCK_CELLS // 6
+    # rows, and a mask of that many would take 119 MB
+    g = complete_bipartite(2, 4)
+    packed = _packed_rows(g)
+    assert _BLOCK_CELLS // g.n > 10**4
+    tracemalloc.start()
+    try:
+        listed = _listed(_candidate_blocks(packed))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert listed == _set_candidates(g) and len(listed) == 7
+    assert peak <= 2**14
+
+
+def test_candidates_on_a_short_last_block():
+    # n = 1000 reads blocks of 65 rows, the last one 25 rows, whose leading
+    # square and mask are 25 rows a side
+    g = sample_gnp(1000, 0.03, trial_seed(2604, 0))
+    step = _BLOCK_CELLS // g.n
+    assert (step, g.n % step) == (65, 25)
+    listed = _listed(_candidate_pieces(g))
+    assert listed == _set_candidates(g)
+    assert sum(u >= g.n - g.n % step for u, _ in listed) > 10
 
 
 def test_first_diagonal_candidate_memory():
@@ -292,6 +321,11 @@ SQUARE_BLOCK_HOSTS = (
     + [(f"gnp{n}", sample_gnp(n, 0.3, trial_seed(2602, n))) for n in (63, 64, 65, 127, 128, 129)]
     + [(f"empty{n}", build_graph(n, [])) for n in (0, 1, 2)]
     + [("k6-less-an-edge", _near_complete(6))]
+    # pieces that start past rows 64 and 128, whose read-out skips the words
+    # below their first row: the diagonal (130, 200) has common neighbors in
+    # every word, most of them below its own
+    + [("two-hubs-130-200", _k2_across_words(258, (130, 200))),
+       ("gnp256", sample_gnp(256, 0.1, trial_seed(2603, 256)))]
 )
 
 
@@ -307,6 +341,9 @@ def test_square_blocks_match_brute_force(name, g):
         assert len(listed) == 150 * 149 // 2
     if name == "k6-less-an-edge":  # its one candidate reads out to an empty piece
         assert [len(b) for b in blocks] == [0]
+    if name in ("two-hubs-130-200", "gnp256"):
+        words = {int(us[0]) >> 6 for us, _ in _candidate_pieces(g)}
+        assert {1, 2, 3} <= words
 
 
 @pytest.mark.parametrize("seed", range(4))

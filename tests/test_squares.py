@@ -307,6 +307,51 @@ def test_two_neighbor_diagonals(monkeypatch, n, u, w, x1, x2, chord, expected):
     assert len(build_square_graph(g)) == len(expected)
 
 
+# common neighbors a < b < c < d < e of the diagonal (0, 129) across the
+# 64-bit word boundary; a, b and c are pairwise adjacent, so the diagonal
+# passes the test on its lowest three, and ``misses`` is the one of a and b
+# adjacent to neither d nor e, which puts two pairs through it in the bucket
+SURVIVOR_COMMON = (62, 63, 64, 65, 66)
+
+
+def _survivor_host(chords, common=SURVIVOR_COMMON):
+    """G(130) with the diagonal (0, 129) over ``common`` and the ``chords``
+    among them, by position."""
+    edges = [(v, x) for v in (0, 129) for x in common]
+    return build_graph(130, edges + [(common[i], common[j]) for i, j in chords])
+
+
+@pytest.mark.parametrize("misses", [0, 1])
+def test_survivor_with_two_pairs_through_its_lowest_neighbors_is_not_read(monkeypatch, misses):
+    other = 1 - misses
+    g = _survivor_host([(0, 1), (0, 2), (1, 2), (3, 4)] + [(i, j) for i in (other, 2) for j in (3, 4)])
+    reads = []
+    real_bucket = squares_module._diagonal_bucket
+    monkeypatch.setattr(squares_module, "_diagonal_bucket",
+                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    assert list(isolated_squares(g)) == _reference_isolated_squares(g)
+    a, d, e = (SURVIVOR_COMMON[i] for i in (misses, 3, 4))
+    assert real_bucket(g, 0, 129) == sorted([(a, d), (a, e)])
+    assert (0, 129) not in reads
+
+
+@pytest.mark.parametrize("through", [0, 1])
+def test_survivor_with_one_pair_is_still_yielded(monkeypatch, through):
+    # four common neighbors; the one pair of the bucket goes through x1 or
+    # x2, and the reciprocal bucket is (0, 129) alone: an isolated square
+    other = 1 - through
+    g = _survivor_host([(0, 1), (0, 2), (1, 2), (other, 3), (2, 3)], SURVIVOR_COMMON[:4])
+    reads = []
+    real_bucket = squares_module._diagonal_bucket
+    monkeypatch.setattr(squares_module, "_diagonal_bucket",
+                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    x, y = SURVIVOR_COMMON[through], SURVIVOR_COMMON[3]
+    assert list(isolated_squares(g)) == [(0, x, 129, y)] == _reference_isolated_squares(g)
+    # (0, 129) and its reciprocal; (x, y) is read again as a candidate of its
+    # own, one pair in its bucket, and dropped as the larger diagonal
+    assert reads == [(0, 129), (x, y), (x, y)]
+
+
 def _relabelled(g, pi):
     """``g`` with vertex ``v`` renamed ``pi[v]``, built from its permuted rows."""
     return build_graph(g.n, [(pi[u], pi[v]) for u, v in g.edges()])

@@ -12,6 +12,9 @@ timing.  Calls are then interleaved, the side that goes first alternating
 between rounds, with the process pinned to one CPU.  The report gives each
 side's median time, the median and quartiles of the paired ratios
 work / base (below 1 is faster), and how many pairs the working tree won.
+It also gives, per graph, the ratio of the two sides' best of the R rounds,
+which a burst of load on a shared box moves less than single pairs, so a
+change of a few percent shows on every graph or on none.
 After the timing, one more call per graph and side runs under
 ``tracemalloc``; the report ends with each side's peaks, so a layer change
 shows whether it is memory-neutral.  For ``morse`` and ``count5`` it also
@@ -25,6 +28,8 @@ Layers:
 - ``first-piece``: its first piece only, the cost an early exit pays;
 - ``isolated``: ``has_isolated_square``;
 - ``isolated-all``: the whole ``squares.isolated_squares`` stream;
+- ``listing``: ``cycles._square_blocks``, the square listing alone, without
+  the diagonal ids and components of ``build_square_graph``;
 - ``square-graph``: ``build_square_graph``;
 - ``components``: ``labels`` and ``supports`` of a fresh ``SquareGraph`` over
   the arrays ``build_square_graph`` gave once per graph, so only they are timed;
@@ -154,6 +159,7 @@ LAYERS = {
     "first-piece": _first_piece,
     "isolated": lambda pkg, g, host: pkg.has_isolated_square(g),
     "isolated-all": lambda pkg, g, host: list(pkg.squares.isolated_squares(g)),
+    "listing": lambda pkg, g, host: list(pkg.cycles._square_blocks(g)),
     "square-graph": _square_graph,
     "components": _components,
     "cfs": lambda pkg, g, host: pkg.is_cfs(g, pkg.build_square_graph(g)),
@@ -286,6 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {side}: median {1e3 * statistics.median(times[side]):.3f} ms")
     print(f"  work/base paired ratio: median {med:.3f} [q1 {q1:.3f}, q3 {q3:.3f}], "
           f"work faster in {wins} of {len(ratios)}")
+    best = [min(times["work"][i :: len(hosts)]) / min(times["base"][i :: len(hosts)])
+            for i in range(len(hosts))]
+    print(f"  work/base best of {args.rounds} per graph: median {statistics.median(best):.3f}; "
+          + ", ".join(f"{r:.3f}" for r in best))
     for side in sides:
         print(f"  {side}: tracemalloc peak per graph "
               + ", ".join(f"{peak / 2**20:.2f}" for peak in peaks[side]) + " MiB")
