@@ -24,7 +24,9 @@ from morsegraph import (
     sample_gnp,
     trial_seed,
 )
-from morsegraph.cycles import _BLOCK_CELLS, _candidate_blocks, _lowest_gaps, _packed_rows
+from morsegraph.cycles import (
+    _BLOCK_CELLS, _candidate_blocks, _diagonal_bucket, _lowest_gaps, _packed_rows
+)
 import morsegraph.squares as squares_module
 from morsegraph.squares import _argsort, isolated_squares, square_graph_edges
 from helpers import (
@@ -284,6 +286,15 @@ def test_lowest_gaps_match_python_sets(n, p):
     assert checked
 
 
+def _recorded_reads(monkeypatch):
+    """The ``(u, w)`` of every ``_diagonal_bucket`` call the scan makes, in order."""
+    reads = []
+    real_bucket = squares_module._diagonal_bucket
+    monkeypatch.setattr(squares_module, "_diagonal_bucket",
+                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    return reads
+
+
 # (n, u, w, x1, x2, x1 ~ x2, isolated squares): a diagonal (u, w) whose only
 # common neighbors are x1 < x2, across the 64-bit word boundary at 63 | 64
 TWO_NEIGHBOR_DIAGONALS = [
@@ -298,10 +309,7 @@ def test_two_neighbor_diagonals(monkeypatch, n, u, w, x1, x2, chord, expected):
     # a candidate with exactly two common neighbors takes its bucket from the
     # prefilter; Python reads only the reciprocal bucket of each kept one
     g = build_graph(n, [(u, x1), (u, x2), (w, x1), (w, x2)] + [(x1, x2)] * chord)
-    reads = []
-    real_bucket = squares_module._diagonal_bucket
-    monkeypatch.setattr(squares_module, "_diagonal_bucket",
-                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    reads = _recorded_reads(monkeypatch)
     assert list(isolated_squares(g)) == expected == _reference_isolated_squares(g)
     assert reads == [s[1::2] for s in expected]
     assert len(build_square_graph(g)) == len(expected)
@@ -325,13 +333,10 @@ def _survivor_host(chords, common=SURVIVOR_COMMON):
 def test_survivor_with_two_pairs_through_its_lowest_neighbors_is_not_read(monkeypatch, misses):
     other = 1 - misses
     g = _survivor_host([(0, 1), (0, 2), (1, 2), (3, 4)] + [(i, j) for i in (other, 2) for j in (3, 4)])
-    reads = []
-    real_bucket = squares_module._diagonal_bucket
-    monkeypatch.setattr(squares_module, "_diagonal_bucket",
-                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    reads = _recorded_reads(monkeypatch)
     assert list(isolated_squares(g)) == _reference_isolated_squares(g)
     a, d, e = (SURVIVOR_COMMON[i] for i in (misses, 3, 4))
-    assert real_bucket(g, 0, 129) == sorted([(a, d), (a, e)])
+    assert _diagonal_bucket(g, 0, 129) == sorted([(a, d), (a, e)])
     assert (0, 129) not in reads
 
 
@@ -341,10 +346,7 @@ def test_survivor_with_one_pair_is_still_yielded(monkeypatch, through):
     # x2, and the reciprocal bucket is (0, 129) alone: an isolated square
     other = 1 - through
     g = _survivor_host([(0, 1), (0, 2), (1, 2), (other, 3), (2, 3)], SURVIVOR_COMMON[:4])
-    reads = []
-    real_bucket = squares_module._diagonal_bucket
-    monkeypatch.setattr(squares_module, "_diagonal_bucket",
-                        lambda *args: reads.append(args[1:3]) or real_bucket(*args))
+    reads = _recorded_reads(monkeypatch)
     x, y = SURVIVOR_COMMON[through], SURVIVOR_COMMON[3]
     assert list(isolated_squares(g)) == [(0, x, 129, y)] == _reference_isolated_squares(g)
     # (0, 129) and its reciprocal; (x, y) is read again as a candidate of its
