@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -506,8 +506,8 @@ def exhaustive_small_n_expectation(n: int, p: float, prop: PropertyKind) -> floa
     Every one of the 2^C(n,2) labeled graphs is weighted by
     p^edges (1-p)^non_edges and the property evaluated exactly; n is capped
     at 7.  Cycle-shaped properties stream through per-placement selection
-    (identical sum, grouped by cycle placement); the others are evaluated
-    one graph at a time.
+    (the same sum, grouped by cycle placement; a count sums one placement per
+    length); the others are evaluated one graph at a time.
     """
     if (n := _integer("n", n, 1)) > _EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive enumeration is capped at n={_EXHAUSTIVE_MAX_N}, got {n}")
@@ -534,7 +534,9 @@ def _exhaustive_direct(n: int, p: float, prop: PropertyKind) -> float:
 
 
 def _exhaustive_candidates(n: int, p: float, prop: PropertyKind) -> float:
-    """The same sum grouped by cycle placement: the tags with cycle lengths only."""
+    """The same sum grouped by cycle placement: the tags with cycle lengths only.
+    A count sums the first placement of each length k, times C(n, k) (k - 1)! / 2:
+    G(n, p) is invariant under relabelling, so every placement weighs the same."""
     masks, weights = _mask_weights(n, p)
     pairs = _pair_index(n)
     counting = prop.is_count
@@ -543,19 +545,18 @@ def _exhaustive_candidates(n: int, p: float, prop: PropertyKind) -> float:
     total = 0.0
     exists = np.zeros(len(masks), dtype=bool) if not counting else None
     for k in range(kmin, min(kmax, n) + 1):
-        for cycle, cyc_bits, chord_bits in _cycle_candidates(n, k):
+        placements = math.comb(n, k) * math.factorial(k - 1) // 2
+        for cycle, cyc_bits, chord_bits in islice(_cycle_candidates(n, k), 1 if counting else None):
             sel = np.flatnonzero(((masks & cyc_bits) == cyc_bits) & ((masks & chord_bits) == 0))
             if morse:
                 # the selection makes ``cycle`` an induced cycle of every graph
                 graphs = (_graph_from_mask(n, int(m), pairs) for m in sel)
                 sel = sel[[is_morse_subgraph(h, cycle) for h in graphs]]
             if counting:
-                total += float(weights[sel].sum())
+                total += placements * float(weights[sel].sum())
             else:
                 exists[sel] = True
-    if not counting:
-        total = float(weights[exists].sum())
-    return total
+    return total if counting else float(weights[exists].sum())
 
 
 # ---------------------------------------------------------------------------

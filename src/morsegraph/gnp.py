@@ -16,8 +16,8 @@ Trial seeds for Monte Carlo work derive from a master seed as
 ``master XOR (trial_index + 1) * 0x9E3779B97F4A7C15`` (mod 2**64).
 
 Two implementations of the pipeline agree bit for bit, and tests hold them
-equal: a pure-Python loop (``_sample_rows_python``), the executable spec,
-which ``sample_gnp`` also uses for small graphs; and a numpy sampler
+equal: the executable spec ``_sample_rows_python``, a loop over
+``Xoshiro256StarStar.next_u64`` used for small graphs; and a numpy sampler
 (``_sample_rows_numpy``) that steps xoshiro256** in parallel lanes, each
 lane seeded by GF(2) jump-ahead to its offset in the single stream.  Lanes
 lengthen with n so that at most two blocks of lanes cover the stream.  The
@@ -44,9 +44,9 @@ from .graph import Graph
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-# Below this many pairs the pure-Python loop beats the numpy lanes' fixed
-# cost (~2.5 ms); measured crossover 2.0k-2.9k pairs on 2-core x86-64, numpy 2.4.
-_NUMPY_MIN_PAIRS = 2560
+# Below this many pairs the spec loop beats the lanes' 1.0-1.1 ms (flat, n = 36..80): it
+# takes 1.02 ms at 1225 pairs, 1.24 ms at 1431 (best of 5, one pinned 2-core x86-64 process).
+_NUMPY_MIN_PAIRS = 1300
 _LANE_CHUNK = 128  # consecutive draws made by each lane
 _LANE_BLOCK = 4096  # lanes stepped together; bounds memory at any n
 
@@ -127,21 +127,11 @@ def _threshold_u64(p: float) -> int:
 
 
 def _sample_rows_python(n: int, threshold: int, seed: int) -> list[int]:
-    gen = Xoshiro256StarStar(seed)
-    s0, s1, s2, s3 = gen.s0, gen.s1, gen.s2, gen.s3
+    draw = Xoshiro256StarStar(seed).next_u64
     rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
-            x = (s1 * 5) & MASK64
-            r = ((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64
-            t = (s1 << 17) & MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-            if r < threshold:
+            if draw() < threshold:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return rows

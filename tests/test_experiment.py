@@ -239,11 +239,19 @@ def test_exhaustive_c4_count_closed_form():
 
 
 @pytest.mark.parametrize(
-    "tag", ["morse-cycle-count:5", "morse-cycle-count:4", "induced-cycle-count:4"]
+    "tag, n",
+    [
+        pytest.param("morse-cycle-count:5", 5, id="morse-cycle-count:5"),
+        pytest.param("morse-cycle-count:4", 5, id="morse-cycle-count:4"),
+        pytest.param("induced-cycle-count:4", 5, id="induced-cycle-count:4"),
+        # 72 placements, each with an outside vertex: a count sums one of them,
+        # so a wrong placement factor shows here and not on the n = 5 pentagon
+        pytest.param("morse-cycle-count:5", 6, id="morse-cycle-count:5-n6"),
+    ],
 )
-def test_exhaustive_candidate_equals_direct(tag):
-    fast = _exhaustive_candidates(5, 0.3, P(tag))
-    slow = _exhaustive_direct(5, 0.3, P(tag))
+def test_exhaustive_candidate_equals_direct(tag, n):
+    fast = _exhaustive_candidates(n, 0.3, P(tag))
+    slow = _exhaustive_direct(n, 0.3, P(tag))
     assert fast == pytest.approx(slow, abs=1e-14)
 
 

@@ -24,7 +24,8 @@ check), so a change that moves the switch shows it, not only the time.
 
 Layers:
 
-- ``candidates``: one full pass of ``cycles._candidate_blocks``;
+- ``candidates``: one full pass of ``cycles._candidate_blocks``, compared
+  by a digest of its pieces, which are dropped as they come;
 - ``first-piece``: its first piece only, the cost an early exit pays;
 - ``isolated``: ``has_isolated_square``;
 - ``isolated-all``: the whole ``squares.isolated_squares`` stream;
@@ -56,6 +57,7 @@ and the cap, and skipped; the tool fails only when no host is left.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import io
 import math
@@ -104,8 +106,14 @@ def _candidate_pieces(pkg, g):
 
 
 def _candidates(pkg, g, host):
-    pieces = list(_candidate_pieces(pkg, g))
-    return [np.concatenate([a[i] for a in pieces] or [np.empty(0, np.intp)]) for i in (0, 1)]
+    """One digest of every piece's arrays (dtype, length, bytes), each piece
+    folded in and dropped as it comes, so the peak is the filter's own."""
+    digest = hashlib.sha256()
+    for piece in _candidate_pieces(pkg, g):
+        for a in piece:
+            digest.update(f"{a.dtype.str} {len(a)};".encode())
+            digest.update(np.ascontiguousarray(a))
+    return digest.hexdigest()
 
 
 def _first_piece(pkg, g, host):
